@@ -16,18 +16,13 @@ the operational invariants the parity pin promises:
   tile order, the only permitted divergence) and repeated fused runs
   are **bit-identical** (the tile-ordered reduction is deterministic);
 * the backend path surfaces ``telemetry["fused"]`` (kernel backend,
-  tile shape, tiles per sweep);
-* the numpy and numba kernel backends agree when numba is importable
-  (skipped with a note otherwise), and requesting numba without numba
-  installed *falls back* to numpy with a telemetry note instead of
-  failing.
+  tile shape, tiles per sweep).
 
 Exits non-zero on any violated invariant, so CI can gate on it.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 import sys
 
@@ -38,7 +33,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro  # noqa: E402
 from repro.core.solver import WseMatrixFreeSolver  # noqa: E402
-from repro.fused import BACKEND_ENV, numba_available  # noqa: E402
 from repro.wse.specs import WSE2  # noqa: E402
 
 SPEC = WSE2.with_fabric(16, 16)
@@ -102,47 +96,10 @@ def main() -> int:
     else:
         if fused.get("tile") != [4, 10]:
             failures.append(f"backend telemetry tile odd: {fused.get('tile')}")
-        if fused.get("backend") not in ("numpy", "numba"):
+        if fused.get("backend") != "numpy":
             failures.append(f"backend telemetry backend odd: {fused}")
         if fused.get("tiles") != 3:  # 12 rows / 4-row slabs
             failures.append(f"backend telemetry tiles odd: {fused.get('tiles')}")
-
-    # Kernel-backend cross-check: numpy vs numba when numba is present,
-    # otherwise the graceful-fallback contract.
-    saved = os.environ.get(BACKEND_ENV)
-    try:
-        if numba_available():
-            runs = {}
-            for backend_name in ("numpy", "numba"):
-                os.environ[BACKEND_ENV] = backend_name
-                runs[backend_name] = _solve_fused(problem, (4, 10))
-                if runs[backend_name].fused["backend"] != backend_name:
-                    failures.append(
-                        f"{BACKEND_ENV}={backend_name} ran "
-                        f"{runs[backend_name].fused['backend']}"
-                    )
-            if runs["numpy"].counters.to_dict() != runs["numba"].counters.to_dict():
-                failures.append("numpy/numba backends disagree on counters")
-            if not np.allclose(runs["numpy"].pressure, runs["numba"].pressure,
-                               rtol=1e-6, atol=1e-9):
-                failures.append("numpy/numba backends disagree on pressure")
-            print("fused_smoke: numpy/numba backends agree")
-        else:
-            os.environ[BACKEND_ENV] = "numba"
-            report = _solve_fused(problem, None)
-            if report.fused.get("backend") != "numpy":
-                failures.append(
-                    f"numba-less fallback ran {report.fused.get('backend')!r}"
-                )
-            if "note" not in report.fused:
-                failures.append("numba-less fallback carries no telemetry note")
-            print("fused_smoke: numba not importable — fallback note verified, "
-                  "numpy/numba agreement skipped")
-    finally:
-        if saved is None:
-            os.environ.pop(BACKEND_ENV, None)
-        else:
-            os.environ[BACKEND_ENV] = saved
 
     if failures:
         for line in failures:

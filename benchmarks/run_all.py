@@ -578,15 +578,17 @@ def run_profile(smoke: bool) -> None:
     """Per-phase host-time breakdown, vectorized vs fused (``--profile``).
 
     Times engine construction (staging + coefficient prebuild), the hot
-    per-iteration phases, and the charge model's per-iteration packet
-    accounting.  The vectorized engine has separate apply and dot
-    phases; the fused engine collapses apply+dot into one tiled sweep
-    (``body_pass``) and axpy+dot into another (``update_pass``) — the
-    columns show exactly where the fusion win comes from.
+    per-iteration phases through each engine's sweep, and the charge
+    composition amortised per iteration.  The vectorized sweep has
+    separate apply and dot phases; the fused sweep collapses apply+dot
+    into one tiled pass (``apply_dot``) and axpy+dot into another
+    (``update``) — the columns show exactly where the fusion win comes
+    from.
     """
     import numpy as np
 
     from repro.core.solver import WseMatrixFreeSolver
+    from repro.solvers.state_machine import CGState
 
     lateral, nz, iters, reps = (16, 2, 8, 20) if smoke else (128, 4, 24, 40)
     problem = repro.scenario(
@@ -609,27 +611,27 @@ def run_profile(smoke: bool) -> None:
         )
         stage_ms = (time.perf_counter() - start) * 1e3
         eng = solver.engine
+        sweep = eng.sweep
+        sweep.init()
         col = {"stage (construction)": stage_ms}
         if name == "vectorized":
-            st = eng.st
-            col["apply (Jp sweep)"] = per_call_ms(lambda: eng._apply(st.p), reps)
-            col["dot (p.Jp)"] = per_call_ms(lambda: eng._dot(st.p, st.r), reps)
+            st = sweep.st
+            col["apply (Jp sweep)"] = per_call_ms(lambda: sweep.apply(st.p), reps)
+            col["dot (p.Jp)"] = per_call_ms(lambda: sweep.dot(st.p, st.r), reps)
         else:
-            bk = eng.backend
-            bk.init_pass()
-            col["fused sweep (apply+dot)"] = per_call_ms(bk.body_pass, reps)
-            col["fused update (axpy+dot)"] = per_call_ms(
-                lambda: bk.update_pass(0.5), reps
+            col["fused sweep (apply+dot)"] = per_call_ms(
+                lambda: sweep.apply_dot([0]), reps
             )
-        model = eng.model
+            col["fused update (axpy+dot)"] = per_call_ms(
+                lambda: sweep.update([0], [0.5]), reps
+            )
+        lane = eng.lanes[0]
         col["charge (packet model/iter)"] = per_call_ms(
-            lambda: (model.charge_kernel(), model.charge_exchange(),
-                     model.charge_allreduce(), model.charge_allreduce()),
-            reps,
-        )
+            lambda: lane.compose(iters, False, CGState.MAXITER), reps
+        ) / iters
         phases[name] = col
         if name == "fused":
-            info = eng.fused_info()
+            info = sweep.extras()["fused"]
             print(f"  fused backend={info['backend']} "
                   f"tile={info['tile'][0]}x{info['tile'][1]} "
                   f"tiles={info['tiles']}")

@@ -40,6 +40,10 @@ from repro.wse.dsd import Dsd
 from repro.wse.fabric import Fabric
 from repro.wse.pe import ProcessingElement
 
+#: The PE whose state sequence the result reports (every PE runs the
+#: same state machine).
+TRACKED_PE = (0, 0)
+
 
 @dataclass
 class PeCgState:
@@ -92,7 +96,6 @@ class DataflowCG:
         kernel_configs: dict[tuple[int, int], PeKernelConfig],
         program: CgProgram,
         *,
-        track_states_for: tuple[int, int] = (0, 0),
         mg_hierarchy=None,
     ):
         self.fabric = fabric
@@ -118,7 +121,6 @@ class DataflowCG:
         self._pe_state: dict[tuple[int, int], PeCgState] = {
             (pe.x, pe.y): PeCgState() for pe in fabric.iter_pes()
         }
-        self._tracked = track_states_for
         self.result = DataflowCGResult(iterations=0, converged=False)
         self._terminal_count = 0
         self._num_pes = fabric.width * fabric.height
@@ -133,7 +135,7 @@ class DataflowCG:
         st.state = state
         # A couple of cycles of sequencer work per transition.
         pe.scalar_cycles(2)
-        if (pe.x, pe.y) == self._tracked:
+        if (pe.x, pe.y) == TRACKED_PE:
             self.result.state_visits.append(state)
 
     def _config(self, pe: ProcessingElement) -> PeKernelConfig:
@@ -223,7 +225,7 @@ class DataflowCG:
     def _init_rtr(self, pe: ProcessingElement, total: float) -> None:
         st = self._st(pe)
         st.rtr = total
-        if (pe.x, pe.y) == self._tracked:
+        if (pe.x, pe.y) == TRACKED_PE:
             self.result.residual_history.append(total)
         self._iter_check(pe)
 
@@ -309,7 +311,7 @@ class DataflowCG:
         st.rtr_new = rtr_total
         st.k += 1
         self._visit(pe, CGState.THRES_CHECK)
-        if (pe.x, pe.y) == self._tracked:
+        if (pe.x, pe.y) == TRACKED_PE:
             self.result.residual_history.append(rtr_total)
         if self.check_convergence and rtr_total < self.tol_rtr:
             self._terminal(pe, CGState.CONVERGED)
@@ -337,7 +339,7 @@ class DataflowCG:
         st.terminal = True
         self._terminal_count += 1
         if self._terminal_count == self._num_pes:
-            tracked = self._pe_state[self._tracked]
+            tracked = self._pe_state[TRACKED_PE]
             self.result.iterations = tracked.k
             self.result.converged = all(
                 s.state is CGState.CONVERGED for s in self._pe_state.values()

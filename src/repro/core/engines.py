@@ -1,22 +1,25 @@
 """Fabric engine registry: how a :class:`CgProgram` gets executed.
 
-Three engines execute the same engine-agnostic program description
-(:mod:`repro.core.program`):
+The event oracle plays the program one wavelet at a time; every other
+engine runs the one lane-stacked CG driver
+(:func:`repro.wse.vector_engine.run_lanes`) over its own sweep, so the
+CG recurrence and the charge accounting exist once:
 
 * ``"event"`` — the discrete-event oracle (one Python PE per fabric PE,
   one event per wavelet; cycle-accurate, byte-stable traces);
 * ``"vectorized"`` — whole-fabric NumPy array sweeps with an analytic
   cycle/counter model (paper-scale fabrics, identical numerics and
-  instruction counts);
+  instruction counts); batched, the same sweeps over a stack of
+  same-shape problems;
 * ``"sharded"`` — the vectorized numerics domain-decomposed across a
   worker pool (threads or shared-memory processes) with real halo
   exchange between shards and cross-shard dot-product reduction;
   counters/traffic/memory stay exactly parity-pinned to the
   single-shard vectorized engine;
 * ``"fused"`` — the vectorized numerics executed as one cache-blocked
-  pass per CG iteration (FV apply, axpys and dot partials fused per
-  lateral tile, optional numba backend); counters/traffic/memory stay
-  exactly parity-pinned to the vectorized engine.
+  pass per CG phase (FV apply, axpys and dot partials fused per
+  lateral tile); counters/traffic/memory stay exactly parity-pinned to
+  the vectorized engine.
 
 Selection is declarative via ``MachineSpec(engine=...)``; the solver
 resolves the name here.  Engine construction is lazy per name so the
@@ -65,7 +68,7 @@ class FabricEngine(Protocol):
 
     name: str
 
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
+    def run(self) -> EngineReport:
         ...
 
 

@@ -133,7 +133,7 @@ class EventEngine:
             for pe in self.fabric.iter_pes():
                 pe.suppress_fp = True
 
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
+    def run(self) -> EngineReport:
         """Run the distributed CG to completion (one shot per engine)."""
         cg = DataflowCG(
             self.fabric,
@@ -142,7 +142,6 @@ class EventEngine:
             self.kernel,
             self.kernel_configs,
             self.program,
-            track_states_for=track_states_for,
             mg_hierarchy=self.mg_hierarchy,
         )
         cg.launch()

@@ -13,16 +13,18 @@ phases (§III-B..III-D):
 :class:`CgProgram` captures that cycle plus every knob that changes what
 the phases compute (kernel variant, buffer reuse, preconditioner,
 suppressed arithmetic, tolerances), *without* saying how the phases are
-executed.  Two engines consume it:
+executed.  Two implementations of the recurrence consume it:
 
 * the event-driven engine (``repro.core.event_engine``) instantiates one
   :class:`~repro.wse.pe.ProcessingElement` per PE and plays the program
   as discrete wavelet events — the cycle-accurate oracle;
-* the vectorized engine (``repro.wse.vector_engine``) executes each
-  phase over the whole fabric as ``(nx, ny, nz)`` NumPy array sweeps —
-  the paper-scale path (Kronbichler & Kormann's observation that a
-  matrix-free operator is just structured array sweeps, applied to the
-  fabric itself).
+* the lane-stacked CG driver (``repro.wse.vector_engine.run_lanes``)
+  runs it once for every other engine, over a pluggable sweep: whole-
+  fabric ``(lanes, nx, ny, nz)`` NumPy array sweeps (vectorized and
+  batched — Kronbichler & Kormann's observation that a matrix-free
+  operator is just structured array sweeps, applied to the fabric
+  itself), cache-blocked tiled passes (fused), or a shard crew
+  (sharded).
 
 Engines return an :class:`EngineReport`, the shared result vocabulary
 (solution + machine telemetry) that ``repro.core.solver`` republishes.

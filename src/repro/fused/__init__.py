@@ -2,28 +2,17 @@
 
 The package behind ``MachineSpec(engine="fused")``: cache-tile
 selection (:mod:`repro.fused.tiling`), the tiled FV-apply kernel and
-the numpy/numba pass backends (:mod:`repro.fused.kernels`,
-:mod:`repro.fused.numba_backend`), and the engines themselves
-(:mod:`repro.fused.engine`).
+the numpy pass backend (:mod:`repro.fused.kernels`), and the engines
+themselves (:mod:`repro.fused.engine`).
 """
 
 from repro.fused.engine import BatchedFusedEngine, FusedVectorEngine
-from repro.fused.kernels import (
-    BACKEND_ENV,
-    BACKEND_NAMES,
-    numba_available,
-    resolve_backend,
-)
 from repro.fused.tiling import auto_tile, normalize_fused_tile, tile_boxes
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
     "BatchedFusedEngine",
     "FusedVectorEngine",
     "auto_tile",
     "normalize_fused_tile",
-    "numba_available",
-    "resolve_backend",
     "tile_boxes",
 ]

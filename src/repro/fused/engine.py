@@ -15,11 +15,10 @@ Parity contract (pinned in ``tests/test_fused_engine.py`` and fuzzed
 5-way in ``tests/test_engine_fuzz.py``):
 
 * **counters / traffic / memory / state visits / makespan** — *exactly*
-  equal to the vectorized engine: the engine merges the same prebuilt
-  analytic charge packets (:func:`~repro.wse.vector_engine.build_init_packet`
-  / :func:`~repro.wse.vector_engine.build_iteration_packets`) through
-  the identical control flow.  Tiling changes how the host sweeps, not
-  what the machine is charged for.
+  equal to the vectorized engine: both run the same CG driver
+  (:func:`~repro.wse.vector_engine.run_lanes`), which composes every
+  lane's charges from the same analytic packets.  Tiling changes how
+  the host sweeps, not what the machine is charged for.
 * **iterates** — bitwise equal per element through every sweep (tiling
   is a pure loop reorder over elementwise/stencil-local ops; the padded
   stencil buffer reproduces ``_shifted`` exactly); only the tile-order
@@ -28,10 +27,9 @@ Parity contract (pinned in ``tests/test_fused_engine.py`` and fuzzed
   round-off and iteration counts almost always coincide.
 
 :class:`BatchedFusedEngine` is the lane-parallel counterpart: each lane
-advances its own fused backend in lockstep and composes charges with
-:class:`~repro.wse.vector_engine.BatchedVectorEngine`'s terminal-aware
-packet accounting, so every lane's report is exactly what a serial
-fused solve of that problem would produce.
+advances its own tiled backend in lockstep under the same driver, so
+every lane's report is exactly what a serial fused solve of that
+problem would produce.
 """
 
 from __future__ import annotations
@@ -40,22 +38,11 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.mapping import ProblemMapping
 from repro.core.program import CgProgram, EngineReport
-from repro.fused.kernels import create_backend, resolve_backend
+from repro.fused.kernels import FusedNumpyBackend, create_backend
 from repro.fused.tiling import auto_tile, normalize_fused_tile
 from repro.physics.darcy import SinglePhaseProblem
-from repro.solvers.state_machine import CGState
-from repro.util.errors import ConfigurationError
-from repro.wse.specs import WseSpecs
-from repro.wse.vector_engine import (
-    _ChargeModel,
-    _memory_report,
-    _stage_problem,
-    build_init_packet,
-    build_iteration_packets,
-    normalize_guesses,
-)
+from repro.wse.vector_engine import _LaneEngine, run_lanes
 
 
 def _resolve_tile(fused_tile, grid, dtype) -> tuple[int, int]:
@@ -65,497 +52,127 @@ def _resolve_tile(fused_tile, grid, dtype) -> tuple[int, int]:
     return (min(tile[0], grid.nx), min(tile[1], grid.ny))
 
 
-class FusedVectorEngine:
+class TiledSweep:
+    """One tiled :class:`FusedNumpyBackend` per lane.
+
+    Jacobi runs inside the backend's passes.  The mg V-cycle is global
+    (coarse grids couple all tiles), so mg splits the init and update
+    passes around the host V-cycle into ``z``."""
+
+    def __init__(self, stagings, program: CgProgram, tile: tuple[int, int], dtype):
+        self.stagings = list(stagings)
+        self.mg = program.mg
+        self.dtype = np.dtype(dtype)
+        self.tile = tile
+        self.backends = [
+            create_backend(st, program, tile=tile, dtype=self.dtype)
+            for st in self.stagings
+        ]
+
+    @staticmethod
+    def _reduce(partials) -> float:
+        """Row-major tile-order float64 sum of the per-tile dot partials
+        — the engine's only fp divergence from the single-sweep dot."""
+        total = 0.0
+        for value in partials:
+            total += value
+        return float(total)
+
+    def _vcycle(self, lane: int) -> None:
+        from repro.mg import mg_apply
+
+        st = self.stagings[lane]
+        st.z[...] = mg_apply(st.mg_hier, st.r).astype(self.dtype)
+
+    def init(self) -> list[float]:
+        out = []
+        for lane, backend in enumerate(self.backends):
+            if self.mg:
+                backend.init_residual_pass()
+                self._vcycle(lane)
+                out.append(self._reduce(backend.mg_seed_pass()))
+            else:
+                out.append(self._reduce(backend.init_pass()))
+        return out
+
+    def apply_dot(self, lanes: Sequence[int]) -> list[float]:
+        return [self._reduce(self.backends[i].body_pass()) for i in lanes]
+
+    def update(self, lanes: Sequence[int], alphas: Sequence[float]) -> list[float]:
+        out = []
+        for lane, alpha in zip(lanes, alphas):
+            backend = self.backends[lane]
+            if self.mg:
+                backend.update_axpy_pass(alpha)
+                self._vcycle(lane)
+                out.append(self._reduce(backend.mg_dot_pass()))
+            else:
+                out.append(self._reduce(backend.update_pass(alpha)))
+        return out
+
+    def direction(self, lanes: Sequence[int], betas: Sequence[float]) -> None:
+        for lane, beta in zip(lanes, betas):
+            self.backends[lane].direction_pass(beta)
+
+    def pressure(self, lane: int) -> np.ndarray:
+        return np.array(self.stagings[lane].y, copy=True)
+
+    def extras(self) -> dict:
+        """The ``EngineReport.fused`` telemetry payload."""
+        return {"fused": {
+            "backend": FusedNumpyBackend.name,
+            "tile": [int(self.tile[0]), int(self.tile[1])],
+            "tiles": int(self.backends[0].n_tiles),
+        }}
+
+
+class FusedVectorEngine(_LaneEngine):
     """Tiled hot-loop execution of the dataflow CG program.
 
     Constructor vocabulary extends the vectorized engine's with the
     tiling: ``fused_tile`` (``None`` auto-picks from grid/dtype; an int,
-    pair or ``"16x16"`` string overrides) and ``backend`` (``None``/
-    ``"auto"``, ``"numpy"`` or ``"numba"``; also settable through the
-    ``REPRO_FUSED_BACKEND`` environment variable, with graceful
-    fallback to numpy when numba is not importable).
+    pair or ``"16x16"`` string overrides).
     """
 
     name = "fused"
 
     def __init__(
-        self,
-        problem: SinglePhaseProblem,
-        program: CgProgram,
-        *,
-        spec: WseSpecs,
-        fused_tile=None,
-        backend: str | None = None,
-        dtype=np.float32,
-        simd_width: int | None = None,
-        initial_pressure: np.ndarray | None = None,
-        accumulation: np.ndarray | None = None,
-        rhs: np.ndarray | None = None,
+        self, problem: SinglePhaseProblem, program: CgProgram, *,
+        fused_tile=None, **kwargs,
     ):
-        if program.batch != 1:
-            raise ConfigurationError(
-                f"FusedVectorEngine runs single-problem programs; got "
-                f"batch={program.batch} (use BatchedFusedEngine)"
-            )
-        self.problem = problem
-        self.program = program
-        self.spec = spec
-        self.mapping = ProblemMapping(problem.grid, spec)
-        self.dtype = np.dtype(dtype)
-        self.simd_width = int(
-            simd_width if simd_width is not None else spec.simd_width_f32
-        )
-        grid = problem.grid
-        self.width, self.height, self.depth = grid.nx, grid.ny, grid.nz
-        self.num_pes = self.width * self.height
-        self._suppress = program.comm_only
+        super().__init__(problem, program, **kwargs)
+        tile = _resolve_tile(fused_tile, problem.grid, self.dtype)
+        self.sweep = TiledSweep(self.stagings, program, tile, self.dtype)
 
-        self.tile = _resolve_tile(fused_tile, grid, self.dtype)
-        backend_name, self._backend_note = resolve_backend(backend)
-
-        self.st = _stage_problem(
-            problem, program, self.dtype, initial_pressure,
-            accumulation=accumulation, rhs=rhs,
-        )
-        self._memory = _memory_report(
-            spec, program, self.depth, self.dtype, self.st.kind_counts
-        )
-        self.model = _ChargeModel(
-            width=self.width, height=self.height, depth=self.depth,
-            simd_width=self.simd_width, spec=spec, suppress=self._suppress,
-            kind_counts=self.st.kind_counts, kernel_plans=self.st.kernel_plans,
-        )
-        self.backend = create_backend(
-            backend_name, self.st, program, tile=self.tile, dtype=self.dtype
-        )
-        self._mg_packet = None
-        if program.mg:
-            from repro.mg import build_mg_packet
-
-            self._mg_packet = build_mg_packet(self.model, self.st.mg_hier)
-        self._history: list[float] = []
-
-    # -- deterministic tile-order reduction -----------------------------------
-
-    def _reduce(self, partials) -> float:
-        """Row-major tile-order float64 sum of the per-tile dot partials
-        — the engine's only fp divergence from the single-sweep dot."""
-        if self._suppress:
-            return 0.0
-        total = 0.0
-        for value in partials:
-            total += value
-        return float(total)
-
-    def fused_info(self) -> dict:
-        """The ``EngineReport.fused`` telemetry payload."""
-        info = {
-            "backend": self.backend.name,
-            "tile": [int(self.tile[0]), int(self.tile[1])],
-            "tiles": int(self.backend.n_tiles),
-        }
-        if self._backend_note:
-            info["note"] = self._backend_note
-        return info
-
-    # -- the solve ------------------------------------------------------------
-
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
-        """Execute the CG program in tiled passes; control flow and the
-        merged charge stream replicate :meth:`VectorEngine.run` exactly."""
-        program, m = self.program, self.model
-        suppress = self._suppress
-        backend = self.backend
-        mg = program.mg
-        if mg:
-            from repro.mg import mg_apply
-
-        # INIT: r0 = b - A y0 ; p0 = r0 (or z0) ; rtr = <r0, r0|z0>
-        pk_init = build_init_packet(m, program.jacobi, self._mg_packet)
-        m.merge_scaled(pk_init, 1)
-        m.state_visits.extend(pk_init.state_visits)
-        if suppress:
-            rtr = 0.0
-        elif mg:
-            # The V-cycle is global (coarse grids couple all tiles):
-            # tiled pass to the residual, host V-cycle into z, tiled
-            # pass for the seed and dot.
-            backend.init_residual_pass()
-            self.st.z[...] = mg_apply(self.st.mg_hier, self.st.r).astype(
-                self.dtype
-            )
-            rtr = self._reduce(backend.mg_seed_pass())
-        else:
-            rtr = self._reduce(backend.init_pass())
-        self._history.append(rtr)
-
-        pk_check, pk_body, pk_direction = build_iteration_packets(
-            m, program.jacobi, self._mg_packet
-        )
-        k = 0
-        terminal: CGState | None = None
-        while terminal is None:
-            m.merge_scaled(pk_check, 1)
-            m.state_visits.extend(pk_check.state_visits)
-            if program.check_convergence and rtr < program.tol_rtr:
-                terminal = CGState.CONVERGED
-                break
-            if k >= program.iteration_limit:
-                terminal = (
-                    CGState.CONVERGED
-                    if (program.check_convergence and rtr < program.tol_rtr)
-                    else CGState.MAXITER
-                )
-                break
-
-            # One fused pass: per tile Jp and the p^T Jp partial.
-            pap = 0.0 if suppress else self._reduce(backend.body_pass())
-            m.merge_scaled(pk_body, 1)
-            m.state_visits.extend(pk_body.state_visits)
-            if pap == 0.0:
-                if not suppress and program.check_convergence:
-                    raise ConfigurationError(
-                        "fused engine: p^T A p = 0 with live arithmetic"
-                    )
-                alpha = 0.0
-            else:
-                alpha = rtr / pap
-
-            # One fused pass: per tile y/r axpys, Jacobi z, r·(z|r) partial.
-            if suppress:
-                rtr_new = 0.0
-            elif mg:
-                backend.update_axpy_pass(alpha)
-                self.st.z[...] = mg_apply(self.st.mg_hier, self.st.r).astype(
-                    self.dtype
-                )
-                rtr_new = self._reduce(backend.mg_dot_pass())
-            else:
-                rtr_new = self._reduce(backend.update_pass(alpha))
-            k += 1
-            self._history.append(rtr_new)
-            if program.check_convergence and rtr_new < program.tol_rtr:
-                terminal = CGState.CONVERGED
-                break
-            beta = (rtr_new / rtr) if rtr > 0 else 0.0
-            # One fused pass: per tile p = beta p + (z|r), in place.
-            if not suppress:
-                backend.direction_pass(beta)
-            m.merge_scaled(pk_direction, 1)
-            m.state_visits.extend(pk_direction.state_visits)
-            rtr = rtr_new
-
-        m.visit(terminal)
-        converged = terminal is CGState.CONVERGED
-        m.finalize()
-        return EngineReport(
-            pressure=self.st.y.copy(),
-            iterations=k,
-            converged=converged,
-            residual_history=list(self._history),
-            trace=m.trace,
-            counters=m.counters,
-            elapsed_seconds=m.makespan / self.spec.clock_hz,
-            memory=dict(self._memory),
-            state_visits=list(m.state_visits),
-            engine=self.name,
-            fused=self.fused_info(),
-            preconditioner=(
-                self.st.mg_hier.telemetry(k + 1) if mg else None
-            ),
-        )
+    def run(self) -> EngineReport:
+        return run_lanes(self, self.sweep)[0]
 
 
-# -- the batched (lane) engine ------------------------------------------------
-
-
-class BatchedFusedEngine:
+class BatchedFusedEngine(_LaneEngine):
     """Lane-parallel fused execution of one program over many problems.
 
     Same admission vocabulary as
     :class:`~repro.wse.vector_engine.BatchedVectorEngine` (shared grid
-    shape, per-lane tolerances/guesses/rhs), plus the fused knobs.  Each
+    shape, per-lane tolerances/guesses/rhs), plus the fused tile.  Each
     lane owns its own tiled backend over its own staging and all lanes
     advance in lockstep, freezing as they converge — so every lane's
-    iterates are **bitwise** what a serial :class:`FusedVectorEngine`
-    solve of that problem alone would produce, and the composed charge
-    stream (the batched engine's terminal-aware packet accounting) makes
-    counters/traffic/memory/makespan exactly the serial reports'.
+    report is **bitwise** what a serial :class:`FusedVectorEngine` solve
+    of that problem alone would produce.
     """
 
     name = "batched_fused"
+    batched = True
 
     def __init__(
-        self,
-        problems: Sequence[SinglePhaseProblem],
-        program: CgProgram,
-        *,
-        spec: WseSpecs,
-        fused_tile=None,
-        backend: str | None = None,
-        dtype=np.float32,
-        simd_width: int | None = None,
-        tol_rtrs: Sequence[float] | None = None,
-        initial_pressure=None,
-        accumulation=None,
-        rhs=None,
+        self, problems: Sequence[SinglePhaseProblem], program: CgProgram, *,
+        fused_tile=None, **kwargs,
     ):
-        problems = list(problems)
-        if not problems:
-            raise ConfigurationError("batched engine needs at least one problem")
-        if program.batch != len(problems):
-            raise ConfigurationError(
-                f"program.batch is {program.batch} but {len(problems)} "
-                f"problems were supplied"
-            )
-        shapes = {p.grid.shape for p in problems}
-        if len(shapes) != 1:
-            raise ConfigurationError(
-                f"all problems in a batch must share one grid shape; got "
-                f"{sorted(shapes)}"
-            )
-        self.problems = problems
-        self.batch = len(problems)
-        self.program = program
-        self.spec = spec
-        self.mapping = ProblemMapping(problems[0].grid, spec)
-        self.dtype = np.dtype(dtype)
-        self.simd_width = int(
-            simd_width if simd_width is not None else spec.simd_width_f32
-        )
-        grid = problems[0].grid
-        self.width, self.height, self.depth = grid.nx, grid.ny, grid.nz
-        self._suppress = program.comm_only
+        super().__init__(problems, program, **kwargs)
+        tile = _resolve_tile(fused_tile, self.problems[0].grid, self.dtype)
+        self.sweep = TiledSweep(self.stagings, program, tile, self.dtype)
 
-        if tol_rtrs is None:
-            tol_rtrs = [program.tol_rtr] * self.batch
-        if len(tol_rtrs) != self.batch:
-            raise ConfigurationError(
-                f"tol_rtrs has {len(tol_rtrs)} entries for a batch of "
-                f"{self.batch}"
-            )
-        self._tols = [float(t) for t in tol_rtrs]
-
-        self.tile = _resolve_tile(fused_tile, grid, self.dtype)
-        backend_name, self._backend_note = resolve_backend(backend)
-
-        guesses = normalize_guesses(initial_pressure, self.batch, grid.shape)
-        accs = normalize_guesses(accumulation, self.batch, grid.shape)
-        rhss = normalize_guesses(rhs, self.batch, grid.shape)
-        self._stagings = [
-            _stage_problem(
-                problem, program, self.dtype, guess,
-                accumulation=acc, rhs=lane_rhs,
-            )
-            for problem, guess, acc, lane_rhs in zip(
-                problems, guesses, accs, rhss
-            )
-        ]
-        self._memory = [
-            _memory_report(spec, program, self.depth, self.dtype, s.kind_counts)
-            for s in self._stagings
-        ]
-        self._models = [
-            _ChargeModel(
-                width=self.width, height=self.height, depth=self.depth,
-                simd_width=self.simd_width, spec=spec, suppress=self._suppress,
-                kind_counts=s.kind_counts, kernel_plans=s.kernel_plans,
-            )
-            for s in self._stagings
-        ]
-        self._backends = [
-            create_backend(
-                backend_name, s, program, tile=self.tile, dtype=self.dtype
-            )
-            for s in self._stagings
-        ]
-        self._mg_hiers = [s.mg_hier for s in self._stagings]
-        self._mg_packet = None
-        if program.mg:
-            from repro.mg import build_mg_packet
-
-            # All lanes share the grid shape and the program's mg knobs,
-            # so one packet serves every lane.
-            self._mg_packet = build_mg_packet(
-                self._models[0], self._stagings[0].mg_hier
-            )
-        # One packet set per distinct Dirichlet histogram, exactly the
-        # batched vectorized engine's trick.
-        self._packets: dict[tuple, dict[str, _ChargeModel]] = {}
-        self._lane_sig = []
-        for s, model in zip(self._stagings, self._models):
-            sig = tuple(sorted((k.name, v) for k, v in s.kind_counts.items()))
-            self._lane_sig.append(sig)
-            if sig not in self._packets:
-                init = build_init_packet(model, program.jacobi, self._mg_packet)
-                check, body, direction = build_iteration_packets(
-                    model, program.jacobi, self._mg_packet
-                )
-                self._packets[sig] = {
-                    "init": init, "check": check,
-                    "body": body, "direction": direction,
-                }
-
-    def _reduce(self, partials) -> float:
-        if self._suppress:
-            return 0.0
-        total = 0.0
-        for value in partials:
-            total += value
-        return float(total)
-
-    def fused_info(self) -> dict:
-        info = {
-            "backend": self._backends[0].name,
-            "tile": [int(self.tile[0]), int(self.tile[1])],
-            "tiles": int(self._backends[0].n_tiles),
-        }
-        if self._backend_note:
-            info["note"] = self._backend_note
-        return info
-
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> list[EngineReport]:
-        """Advance every lane's fused backend in lockstep; per-lane
-        control flow replicates the serial fused engine exactly, with
-        converged lanes frozen out of passes and charges."""
-        program = self.program
-        B = self.batch
-        suppress = self._suppress
-        tols = self._tols
-        backends = self._backends
-        mg = program.mg
-        if mg:
-            from repro.mg import mg_apply
-
-        histories: list[list[float]] = [[] for _ in range(B)]
-        iters = [0] * B
-        terminal: list[CGState | None] = [None] * B
-        terminal_at = ["check"] * B
-        rtr = [0.0] * B
-
-        for i in range(B):
-            if suppress:
-                rtr[i] = 0.0
-            elif mg:
-                backends[i].init_residual_pass()
-                st = self._stagings[i]
-                st.z[...] = mg_apply(self._mg_hiers[i], st.r).astype(
-                    self.dtype
-                )
-                rtr[i] = self._reduce(backends[i].mg_seed_pass())
-            else:
-                rtr[i] = self._reduce(backends[i].init_pass())
-            histories[i].append(rtr[i])
-
-        active = list(range(B))
-        while active:
-            survivors = []
-            for i in active:
-                if program.check_convergence and rtr[i] < tols[i]:
-                    terminal[i] = CGState.CONVERGED
-                elif iters[i] >= program.iteration_limit:
-                    terminal[i] = (
-                        CGState.CONVERGED
-                        if (program.check_convergence and rtr[i] < tols[i])
-                        else CGState.MAXITER
-                    )
-                else:
-                    survivors.append(i)
-            active = survivors
-            if not active:
-                break
-
-            new_rtr = dict.fromkeys(active, 0.0)
-            for i in active:
-                pap = 0.0 if suppress else self._reduce(backends[i].body_pass())
-                if pap == 0.0:
-                    if not suppress and program.check_convergence:
-                        raise ConfigurationError(
-                            "fused engine: p^T A p = 0 with live arithmetic "
-                            f"(batch lane {i})"
-                        )
-                    alpha = 0.0
-                else:
-                    alpha = rtr[i] / pap
-                if suppress:
-                    new_rtr[i] = 0.0
-                elif mg:
-                    backends[i].update_axpy_pass(alpha)
-                    st = self._stagings[i]
-                    st.z[...] = mg_apply(self._mg_hiers[i], st.r).astype(
-                        self.dtype
-                    )
-                    new_rtr[i] = self._reduce(backends[i].mg_dot_pass())
-                else:
-                    new_rtr[i] = self._reduce(backends[i].update_pass(alpha))
-                iters[i] += 1
-                histories[i].append(new_rtr[i])
-
-            survivors = []
-            for i in active:
-                if program.check_convergence and new_rtr[i] < tols[i]:
-                    terminal[i] = CGState.CONVERGED
-                    terminal_at[i] = "thres"
-                else:
-                    survivors.append(i)
-
-            for i in survivors:
-                beta = (new_rtr[i] / rtr[i]) if rtr[i] > 0 else 0.0
-                if not suppress:
-                    backends[i].direction_pass(beta)
-            for i in active:
-                rtr[i] = new_rtr[i]
-            active = survivors
-
-        fused_info = self.fused_info()
-        reports = []
-        for i in range(B):
-            m = self._models[i]
-            pk = self._packets[self._lane_sig[i]]
-            k = iters[i]
-            if terminal_at[i] == "thres":
-                n_check, n_body, n_dir = k, k, k - 1
-            else:
-                n_check, n_body, n_dir = k + 1, k, k
-            m.merge_scaled(pk["init"], 1)
-            m.merge_scaled(pk["check"], n_check)
-            m.merge_scaled(pk["body"], n_body)
-            m.merge_scaled(pk["direction"], n_dir)
-            full_iter = (
-                pk["check"].state_visits
-                + pk["body"].state_visits
-                + pk["direction"].state_visits
-            )
-            visits = list(pk["init"].state_visits)
-            if terminal_at[i] == "thres":
-                visits += full_iter * (k - 1)
-                visits += pk["check"].state_visits + pk["body"].state_visits
-            else:
-                visits += full_iter * k
-                visits += pk["check"].state_visits
-            m.state_visits = visits
-            m.visit(terminal[i])
-            m.finalize()
-            reports.append(
-                EngineReport(
-                    pressure=np.array(self._stagings[i].y, copy=True),
-                    iterations=iters[i],
-                    converged=terminal[i] is CGState.CONVERGED,
-                    residual_history=histories[i],
-                    trace=m.trace,
-                    counters=m.counters,
-                    elapsed_seconds=m.makespan / self.spec.clock_hz,
-                    memory=dict(self._memory[i]),
-                    state_visits=list(m.state_visits),
-                    engine=self.name,
-                    fused=dict(fused_info),
-                    preconditioner=(
-                        self._mg_hiers[i].telemetry(iters[i] + 1)
-                        if mg else None
-                    ),
-                )
-            )
-        return reports
+    def run(self) -> list[EngineReport]:
+        return run_lanes(self, self.sweep)
 
 
-__all__ = ["BatchedFusedEngine", "FusedVectorEngine"]
+__all__ = ["BatchedFusedEngine", "FusedVectorEngine", "TiledSweep"]

@@ -1,4 +1,4 @@
-"""Tiled FV-apply kernel and the fused pass backends.
+"""Tiled FV-apply kernel and the fused pass backend.
 
 :class:`TiledApply` is the cache-blocked matrix-free operator: it
 computes the FV apply over one lateral tile at a time, reading the
@@ -32,70 +32,14 @@ planes are save/restored around the flattened sweeps, keeping it
 bitwise equal to the strided reference.  Narrow tiles fall back to the
 general strided :class:`TiledApply` — same results, exercised by the
 fuzz suite.
-
-An optional numba backend (:mod:`repro.fused.numba_backend`) JIT-compiles
-the tile apply; it is detected at import time and selected via
-``REPRO_FUSED_BACKEND=numpy|numba`` (or automatically when available),
-falling back to numpy with a telemetry note when numba is absent.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 from repro.core.fv_kernel import HALO_ORDER, KernelVariant
 from repro.fused.tiling import tile_boxes
-from repro.util.errors import ConfigurationError
-
-#: Kernel backends the fused engine understands (``"auto"`` picks numba
-#: when importable, numpy otherwise).
-BACKEND_NAMES = ("auto", "numpy", "numba")
-
-#: Environment override for the backend choice.
-BACKEND_ENV = "REPRO_FUSED_BACKEND"
-
-_NUMBA_AVAILABLE: bool | None = None
-
-
-def numba_available() -> bool:
-    """Whether the optional numba backend can be imported (cached)."""
-    global _NUMBA_AVAILABLE
-    if _NUMBA_AVAILABLE is None:
-        try:
-            import numba  # noqa: F401
-
-            _NUMBA_AVAILABLE = True
-        except Exception:
-            _NUMBA_AVAILABLE = False
-    return _NUMBA_AVAILABLE
-
-
-def resolve_backend(requested: str | None = None) -> tuple[str, str | None]:
-    """Resolve the kernel backend name and an optional telemetry note.
-
-    ``requested`` wins over the ``REPRO_FUSED_BACKEND`` environment
-    variable; ``None``/``"auto"`` picks numba when importable and numpy
-    otherwise.  Asking for numba without numba installed *falls back*
-    (with a note the telemetry carries) rather than failing — the numpy
-    tiled path is always available.
-    """
-    if requested is None:
-        requested = os.environ.get(BACKEND_ENV) or "auto"
-    requested = str(requested).lower()
-    if requested not in BACKEND_NAMES:
-        raise ConfigurationError(
-            f"unknown fused backend {requested!r}; choose one of "
-            f"{', '.join(BACKEND_NAMES)} (or set {BACKEND_ENV})"
-        )
-    if requested == "numpy":
-        return "numpy", None
-    if numba_available():
-        return "numba", None
-    if requested == "numba":
-        return "numpy", "numba requested but not importable; using the numpy tiled backend"
-    return "numpy", None
 
 
 # -- the cache-blocked FV apply -----------------------------------------------
@@ -327,8 +271,7 @@ class FusedNumpyBackend:
     ``z``/``p`` plus a padded stencil buffer refreshed from the pass's
     source field before each apply sweep, shard-worker style) and
     executes each CG phase as one pass over the tiles, returning
-    per-tile float64 dot partials in row-major tile order.  Always
-    available; the tests' parity baseline.
+    per-tile float64 dot partials in row-major tile order.
     """
 
     name = "numpy"
@@ -505,16 +448,11 @@ class FusedNumpyBackend:
 
     # -- apply dispatch -------------------------------------------------------
 
-    def _apply_tile(self, t: int) -> None:
-        """The narrow-tile FV apply step (the numba backend's override
-        point — everything else is already vectorized numpy)."""
-        self.tiled.apply_tile(t)
-
     def _apply(self, t: int, src: str) -> None:
         if self._use_slab:
             self._apply_slab(t, src)
         else:
-            self._apply_tile(t)
+            self.tiled.apply_tile(t)
 
     # -- per-tile dot (float64, deterministic row-major element order) --------
 
@@ -622,24 +560,14 @@ class FusedNumpyBackend:
         return partials
 
 
-def create_backend(
-    name: str, st, program, *, tile: tuple[int, int], dtype: np.dtype
-):
-    """Instantiate the resolved kernel backend (see :func:`resolve_backend`)."""
-    if name == "numba":
-        from repro.fused.numba_backend import FusedNumbaBackend
-
-        return FusedNumbaBackend(st, program, tile=tile, dtype=dtype)
+def create_backend(st, program, *, tile: tuple[int, int], dtype: np.dtype):
+    """The fused pass backend over one staged problem."""
     return FusedNumpyBackend(st, program, tile=tile, dtype=dtype)
 
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
     "FusedNumpyBackend",
     "TiledApply",
     "create_backend",
-    "numba_available",
-    "resolve_backend",
     "tiled_apply_from_staging",
 ]

@@ -13,26 +13,28 @@ Parity contract (pinned in ``tests/test_sharded_engine.py`` and fuzzed
 
 * **counters / traffic / memory / state visits** — *exactly* equal to
   the single-shard vectorized engine, including ``idle_cycles`` and the
-  makespan: the coordinator charges the analytic
-  :class:`~repro.wse.vector_engine._ChargeModel` through the identical
-  visit/vec/scalar/kernel/exchange/reduce sequence.  Sharding changes
-  who computes, not what the machine is charged for.
+  makespan: the coordinator runs the shared CG driver
+  (:func:`~repro.wse.vector_engine.run_lanes`) with the shard crew as
+  its one-lane sweep, and the driver composes the charges from the
+  same analytic packets.  Sharding changes who computes, not what the
+  machine is charged for.
 * **iterates** — bitwise equal per element through every sweep (the
   halo-extended buffers reproduce ``_shifted`` exactly); only the
   cross-shard *reduction order* of the float64 dot partials differs, so
   alpha/beta — and therefore the pressure field — agree to fp round-off
   and iteration counts almost always coincide.
 * **inter-shard traffic** — counted for real by
-  :class:`~repro.shard.links.InterShardLinkModel`, charged in lockstep
-  with the engine's own exchange/reduce charges and reported under
+  :class:`~repro.shard.links.InterShardLinkModel`, charged by the crew
+  sweep inside its own exchange/reduce rounds and reported under
   ``EngineReport.shard["links"]``.  A ``1x1`` layout moves zero bytes.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.core.mapping import ProblemMapping
 from repro.core.program import CgProgram, EngineReport
 from repro.physics.darcy import SinglePhaseProblem
 from repro.fused.tiling import normalize_fused_tile
@@ -44,20 +46,100 @@ from repro.shard.workers import (
     create_crew,
     default_crew,
 )
-from repro.solvers.state_machine import CGState
 from repro.util.errors import ConfigurationError
-from repro.wse.isa import Op
-from repro.wse.specs import WseSpecs
-from repro.wse.vector_engine import (
-    _ChargeModel,
-    _memory_report,
-    _stage_problem,
-    build_iteration_packets,
-    staging_to_arrays,
-)
+from repro.wse.vector_engine import _LaneEngine, run_lanes, staging_to_arrays
 
 
-class ShardedVectorEngine:
+class CrewSweep:
+    """The shard crew as the driver's one-lane sweep.
+
+    Every CG phase is one or two barrier rounds on the crew; the dot
+    partials reduce in shard order, and each round charges the
+    inter-shard links it uses (a halo exchange per FV apply, a
+    reduction per global dot).  The mg V-cycle runs host-side on the
+    crew's board between rounds."""
+
+    def __init__(self, engine: "ShardedVectorEngine", crew):
+        self.engine, self.crew, self.links = engine, crew, engine.links
+        self.mg = engine.program.mg
+
+    @staticmethod
+    def _reduce(partials) -> float:
+        """Shard-order float64 sum of the workers' local dot products —
+        the engine's only fp divergence from the single-shard sweep."""
+        total = 0.0
+        for value in partials:
+            total += value
+        return float(total)
+
+    def _mg_cycle(self) -> None:
+        """Run one host-assisted V-cycle over the board's residual.
+
+        Workers have just pushed their ``r`` blocks to the crew board
+        (a barrier separates their writes from this read); the float64
+        V-cycle replaces the board contents with the ``z`` field the
+        ``mg_*`` rounds read back.  Host gather/scatter bytes are
+        tracked separately (``shard["mg_host_bytes"]``); the inter-shard
+        link model stays untouched (pinned: ``links["exchanges"] ==
+        iterations + 1`` with or without mg).
+        """
+        from repro.mg import mg_apply
+
+        board = self.crew.board()
+        engine = self.engine
+        board[...] = mg_apply(engine.stagings[0].mg_hier, board).astype(engine.dtype)
+        engine.mg_host_bytes += 2 * board.nbytes
+
+    def init(self) -> list[float]:
+        crew = self.crew
+        partials = crew.round("init")
+        self.links.charge_exchange()
+        if self.mg:
+            # The init barrier left every shard's r on the board.
+            self._mg_cycle()
+            partials = crew.round("mg_init")
+        # p planes are published after the init barrier: neighbours
+        # fill their y halos from the same single-buffered mailboxes.
+        crew.round("publish")
+        self.links.charge_reduce()
+        return [self._reduce(partials)]
+
+    def apply_dot(self, lanes: Sequence[int]) -> list[float]:
+        partials = self.crew.round("body")  # fill(p), Jp, <p, Jp>
+        self.links.charge_exchange()
+        self.links.charge_reduce()
+        return [self._reduce(partials)]
+
+    def update(self, lanes: Sequence[int], alphas: Sequence[float]) -> list[float]:
+        partials = self.crew.round("update", alphas[0])
+        if self.mg:
+            self._mg_cycle()
+            partials = self.crew.round("mg_update")
+        self.links.charge_reduce()
+        return [self._reduce(partials)]
+
+    def direction(self, lanes: Sequence[int], betas: Sequence[float]) -> None:
+        self.crew.round("direction", betas[0])  # also republishes p planes
+
+    def pressure(self, lane: int) -> np.ndarray:
+        return self.crew.gather()
+
+    def extras(self) -> dict:
+        engine = self.engine
+        shard = {
+            "layout": engine.layout.to_dict(),
+            "workers": engine.shard_workers,
+            "links": self.links.to_dict(),
+            "fused_tile": (
+                None if engine.fused_tile is None else list(engine.fused_tile)
+            ),
+        }
+        if self.mg:
+            shard["mg_host_bytes"] = engine.mg_host_bytes
+        return {"shard": shard}
+
+
+class ShardedVectorEngine(_LaneEngine):
     """Domain-decomposed vectorized execution of the dataflow CG program.
 
     Constructor vocabulary extends the vectorized engine's with the
@@ -65,7 +147,9 @@ class ShardedVectorEngine:
     1-D split) and ``shard_workers`` (``"serial"``, ``"thread"`` or
     ``"process"``; ``None`` picks :func:`~repro.shard.workers.default_crew`
     — threads when shards can sweep concurrently, the serial loop when
-    they can't).
+    they can't).  ``fused_tile`` runs each worker's FV sweep through the
+    cache-blocked tile kernel over its halo-extended slab (a pure loop
+    reorder — bitwise-identical shard results).
     """
 
     name = "sharded"
@@ -75,284 +159,51 @@ class ShardedVectorEngine:
         problem: SinglePhaseProblem,
         program: CgProgram,
         *,
-        spec: WseSpecs,
         shard_shape=(1, 1),
         shard_workers: str | None = None,
         fused_tile=None,
-        dtype=np.float32,
-        simd_width: int | None = None,
-        initial_pressure: np.ndarray | None = None,
-        accumulation: np.ndarray | None = None,
-        rhs: np.ndarray | None = None,
+        **kwargs,
     ):
-        if program.batch != 1:
-            raise ConfigurationError(
-                f"ShardedVectorEngine runs single-problem programs; got "
-                f"batch={program.batch} (use BatchedVectorEngine)"
-            )
         if shard_workers is not None and shard_workers not in CREW_MODES:
             raise ConfigurationError(
                 f"unknown shard worker mode {shard_workers!r}; choose one "
                 f"of {', '.join(CREW_MODES)}"
             )
-        self.problem = problem
-        self.program = program
-        self.spec = spec
-        self.mapping = ProblemMapping(problem.grid, spec)
-        self.dtype = np.dtype(dtype)
-        self.simd_width = int(
-            simd_width if simd_width is not None else spec.simd_width_f32
-        )
+        # Staging, memory rehearsal and the charge model are *global* —
+        # the machine being modelled is one fabric, however many workers
+        # sweep it; this is what makes the counter parity exact.
+        super().__init__(problem, program, **kwargs)
         grid = problem.grid
-        self.width, self.height, self.depth = grid.nx, grid.ny, grid.nz
-        self._suppress = program.comm_only
         self.layout = ShardLayout.build(shard_shape, grid.nx, grid.ny)
         self.shard_workers = (
             shard_workers if shard_workers is not None
             else default_crew(self.layout)
         )
-        self.links = InterShardLinkModel(
-            self.layout, grid.nz, self.dtype.itemsize
-        )
-
-        # Staging, memory rehearsal and the charge model are *global* —
-        # the machine being modelled is one fabric, however many workers
-        # sweep it; this is what makes the counter parity exact.
-        self.st = _stage_problem(
-            problem, program, self.dtype, initial_pressure,
-            accumulation=accumulation, rhs=rhs,
-        )
-        self._memory = _memory_report(
-            spec, program, self.depth, self.dtype, self.st.kind_counts
-        )
-        self.model = _ChargeModel(
-            width=self.width, height=self.height, depth=self.depth,
-            simd_width=self.simd_width, spec=spec, suppress=self._suppress,
-            kind_counts=self.st.kind_counts, kernel_plans=self.st.kernel_plans,
-        )
-        self._arrays = staging_to_arrays(self.st, program)
-        # Optional fused-kernel composition: each worker's FV sweep runs
-        # the cache-blocked tile kernel over its halo-extended slab (a
-        # pure loop reorder — bitwise-identical shard results).
+        self.links = InterShardLinkModel(self.layout, grid.nz, self.dtype.itemsize)
+        st = self.stagings[0]
+        self._arrays = staging_to_arrays(st, program)
         self.fused_tile = normalize_fused_tile(fused_tile)
         self._params = WorkerParams(
             variant=program.variant,
             jacobi=program.jacobi,
-            suppress=self._suppress,
             dtype=self.dtype.str,
-            has_full=self.st.has_full,
-            has_partial=self.st.has_partial,
+            has_full=st.has_full,
+            has_partial=st.has_partial,
             fused_tile=self.fused_tile,
             mg=program.mg,
         )
-        self._mg_packet = None
-        self._mg_host_bytes = 0
-        if program.mg:
-            from repro.mg import build_mg_packet
+        self.mg_host_bytes = 0
 
-            self._mg_packet = build_mg_packet(self.model, self.st.mg_hier)
-        self._history: list[float] = []
-
-    # -- cross-shard reduction ------------------------------------------------
-
-    def _reduce(self, partials) -> float:
-        """Shard-order float64 sum of the workers' local dot products —
-        the engine's only fp divergence from the single-shard sweep."""
-        if self._suppress:
-            return 0.0
-        total = 0.0
-        for value in partials:
-            total += value
-        return float(total)
-
-    def _allreduce(self, partials) -> float:
-        self.model.charge_allreduce()
-        self.links.charge_reduce()
-        return self._reduce(partials)
-
-    def _exchange(self) -> None:
-        self.model.charge_exchange()
-        self.links.charge_exchange()
-
-    # -- per-iteration charge packets -----------------------------------------
-
-    def _iteration_packets(self):
-        """The loop's charge sequence is iteration-invariant, so the
-        coordinator plays it once on fresh models — one packet per loop
-        segment, exactly the batched engine's lane-packet trick — and
-        bulk-merges per iteration instead of re-itemising ~30 charges.
-        ``merge_scaled`` is additive, so counters, trace and makespan
-        land bitwise where itemised charging would put them; state
-        visits (order-sensitive) are extended from the packets' own
-        recorded sequences."""
-        return build_iteration_packets(
-            self.model, self.program.jacobi, self._mg_packet
-        )
-
-    def _mg_cycle(self, crew) -> None:
-        """Run one host-assisted V-cycle over the board's residual.
-
-        Workers have just pushed their ``r`` blocks to the crew board
-        (a barrier separates their writes from this read); the float64
-        V-cycle — the identical program-level construct every engine
-        shares — replaces the board contents with the ``z`` field the
-        ``mg_*`` rounds read back.  Host gather/scatter bytes are
-        tracked separately (``shard["mg_host_bytes"]``): the fabric-side
-        cost of the cycle is charged through the analytic packet, and
-        the inter-shard link model stays untouched (pinned:
-        ``links["exchanges"] == iterations + 1`` with or without mg).
-        """
-        from repro.mg import mg_apply
-
-        board = crew.board()
-        board[...] = mg_apply(self.st.mg_hier, board).astype(self.dtype)
-        self._mg_host_bytes += 2 * board.nbytes
-
-    # -- the solve ------------------------------------------------------------
-
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
-        """Execute the CG program across the shard crew; phase order and
-        control flow replicate the vectorized engine's run exactly (the
-        charge sequence *is* the vectorized engine's, verbatim)."""
-        program, m = self.program, self.model
-        jacobi, mg = program.jacobi, program.mg
+    def run(self) -> EngineReport:
         crew = create_crew(
             self.shard_workers, self.layout, self._arrays, self._params,
             self.depth, self.dtype,
         )
         try:
             crew.start()  # spawn workers + stage round (publish y planes)
-
-            # INIT: r0 = b - A y0 ; p0 = r0 (or z0) ; rtr = <r0, r0|z0>
-            # Rounds are dispatched *before* their charge-model
-            # bookkeeping and collected after: the workers' NumPy sweeps
-            # overlap the coordinator's pure-Python charging, and the
-            # charge sequence itself is still the vectorized engine's,
-            # verbatim.  collect() is the barrier each exchange needs.
-            crew.dispatch("init")
-            m.visit(CGState.INIT)
-            m.visit(CGState.EXCHANGE)
-            self._exchange()
-            m.visit(CGState.COMPUTE_JX)
-            m.charge_kernel()
-            partials = crew.collect()
-            if mg:
-                # The init barrier left every shard's r on the board;
-                # run the V-cycle and finish the phase on its z.
-                self._mg_cycle(crew)
-                crew.dispatch("mg_init")
-                m.vec(Op.FSUB)  # r = b - Jx
-                m.merge_scaled(self._mg_packet, 1)  # z = V-cycle(r)
-                m.vec(Op.FMOV)  # p = z
-                partials = crew.collect()
-                crew.dispatch("publish")  # p planes, after the mg barrier
-            else:
-                crew.dispatch("publish")  # p planes, after the init barrier
-                m.vec(Op.FSUB)  # r = b - Jx
-                if jacobi:
-                    m.vec(Op.FMUL)  # z = r / diag
-                    m.vec(Op.FMOV)  # p = z
-                else:
-                    m.vec(Op.FMOV)  # p = r
-            m.vec(Op.FMA)  # local dot
-            m.visit(CGState.DOT_RR)
-            rtr = self._allreduce(partials)
-            self._history.append(rtr)
-            crew.collect()  # publish barrier before any body round
-
-            # The loop charges by packet (see _iteration_packets):
-            # charges are bookkeeping, so their placement against the
-            # crew rounds is free — only the merged totals and the
-            # state-visit order must land exactly where itemised
-            # charging would put them, and merge_scaled is additive so
-            # they do.
-            pk_check, pk_body, pk_direction = self._iteration_packets()
-            k = 0
-            terminal: CGState | None = None
-            while terminal is None:
-                m.merge_scaled(pk_check, 1)
-                m.state_visits.extend(pk_check.state_visits)
-                if program.check_convergence and rtr < program.tol_rtr:
-                    terminal = CGState.CONVERGED
-                    break
-                if k >= program.iteration_limit:
-                    terminal = (
-                        CGState.CONVERGED
-                        if (program.check_convergence and rtr < program.tol_rtr)
-                        else CGState.MAXITER
-                    )
-                    break
-
-                crew.dispatch("body")  # fill(p), Jp, <p, Jp>
-                self.links.charge_exchange()
-                self.links.charge_reduce()  # the DOT_PAP reduction
-                self.links.charge_reduce()  # ... and the DOT_RR one
-                m.merge_scaled(pk_body, 1)
-                m.state_visits.extend(pk_body.state_visits)
-                partials = crew.collect()
-                pap = self._reduce(partials)
-
-                if pap == 0.0:
-                    if not self._suppress and program.check_convergence:
-                        raise ConfigurationError(
-                            "sharded engine: p^T A p = 0 with live arithmetic"
-                        )
-                    alpha = 0.0
-                else:
-                    alpha = rtr / pap
-
-                crew.dispatch("update", alpha)
-                partials = crew.collect()
-                if mg:
-                    self._mg_cycle(crew)
-                    partials = crew.round("mg_update")
-                rtr_new = self._reduce(partials)
-
-                k += 1
-                self._history.append(rtr_new)
-                if program.check_convergence and rtr_new < program.tol_rtr:
-                    terminal = CGState.CONVERGED
-                    break
-                beta = (rtr_new / rtr) if rtr > 0 else 0.0
-                crew.dispatch("direction", beta)  # also republishes p planes
-                m.merge_scaled(pk_direction, 1)
-                m.state_visits.extend(pk_direction.state_visits)
-                crew.collect()
-                rtr = rtr_new
-
-            m.visit(terminal)
-            converged = terminal is CGState.CONVERGED
-            pressure = crew.gather()
+            return run_lanes(self, CrewSweep(self, crew))[0]
         finally:
             crew.close()
-        m.finalize()
-        return EngineReport(
-            pressure=pressure,
-            iterations=k,
-            converged=converged,
-            residual_history=list(self._history),
-            trace=m.trace,
-            counters=m.counters,
-            elapsed_seconds=m.makespan / self.spec.clock_hz,
-            memory=dict(self._memory),
-            state_visits=list(m.state_visits),
-            engine=self.name,
-            shard={
-                "layout": self.layout.to_dict(),
-                "workers": self.shard_workers,
-                "links": self.links.to_dict(),
-                "fused_tile": (
-                    None if self.fused_tile is None else list(self.fused_tile)
-                ),
-                **(
-                    {"mg_host_bytes": self._mg_host_bytes}
-                    if program.mg else {}
-                ),
-            },
-            preconditioner=(
-                self.st.mg_hier.telemetry(k + 1) if program.mg else None
-            ),
-        )
 
 
-__all__ = ["ShardedVectorEngine"]
+__all__ = ["CrewSweep", "ShardedVectorEngine"]

@@ -9,13 +9,6 @@ dispatches the next round.  Halo mailboxes are written at the end of one
 round and read at the start of a later one, so the barrier *is* the
 happens-before edge that makes the exchange race-free.
 
-Rounds are split into ``dispatch(name, scalar)`` / ``collect()`` halves
-so the coordinator can run its (pure-Python) charge-model bookkeeping
-*between* the two — overlapping with the workers' NumPy sweeps on the
-thread and process crews instead of serialising after them.  ``round()``
-is dispatch immediately followed by collect; ``collect()`` is the
-barrier either way.
-
 Three crews share the worker code:
 
 * ``serial`` — an in-process loop (deterministic baseline, tests);
@@ -74,7 +67,6 @@ class WorkerParams:
 
     variant: KernelVariant
     jacobi: bool
-    suppress: bool
     dtype: str
     has_full: bool
     has_partial: bool
@@ -128,15 +120,10 @@ class ShardWorker:
     def round(self, name: str, scalar: float | None = None) -> float | None:
         f = self.fields
         jacobi, mg = self.params.jacobi, self.params.mg
-        suppress = self.params.suppress
         box = self.box
         if name == "gather":
             self.result[box.x0:box.x1, box.y0:box.y1, :] = f.y
             return None
-        if suppress:
-            # comm-only programs never touch the arithmetic; partial
-            # dots are zero exactly as on the single-shard engines.
-            return 0.0 if name in ("init", "body", "update") else None
         if name == "stage":
             f.publish(f.y, self.outbox)
             return None
@@ -245,18 +232,8 @@ class SerialCrew:
     def start(self) -> None:
         self.round("stage")
 
-    def dispatch(self, name: str, scalar: float | None = None) -> None:
-        # No workers to hand off to — run the round inline and let
-        # collect() hand back the results.
-        self._pending = [w.round(name, scalar) for w in self._workers]
-
-    def collect(self) -> list[float | None]:
-        pending, self._pending = self._pending, None
-        return pending
-
     def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        self.dispatch(name, scalar)
-        return self.collect()
+        return [w.round(name, scalar) for w in self._workers]
 
     def board(self) -> np.ndarray:
         """The shared full-grid scratch board (mg residual/correction
@@ -320,11 +297,9 @@ class ThreadCrew:
             t.start()
         self.round("stage")
 
-    def dispatch(self, name: str, scalar: float | None = None) -> None:
+    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
         for q in self._cmd:
             q.put((name, scalar))
-
-    def collect(self) -> list[float | None]:
         results: list[float | None] = [None] * len(self._workers)
         error: BaseException | None = None
         for _ in self._workers:
@@ -336,10 +311,6 @@ class ThreadCrew:
         if error is not None:
             raise error
         return results
-
-    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        self.dispatch(name, scalar)
-        return self.collect()
 
     def board(self) -> np.ndarray:
         """See :meth:`SerialCrew.board` (queue hand-offs order the
@@ -452,12 +423,9 @@ class ProcessCrew:
                 )
         self.round("stage")
 
-    def dispatch(self, name: str, scalar: float | None = None) -> None:
-        self._round_name = name
+    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
         for conn in self._conns:
             conn.send((name, scalar))
-
-    def collect(self) -> list[float | None]:
         results: list[float | None] = [None] * len(self._conns)
         error: str | None = None
         for i, conn in enumerate(self._conns):
@@ -468,13 +436,9 @@ class ProcessCrew:
                 results[i] = payload
         if error is not None:
             raise RuntimeError(
-                f"shard worker round {self._round_name!r} failed:\n{error}"
+                f"shard worker round {name!r} failed:\n{error}"
             )
         return results
-
-    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        self.dispatch(name, scalar)
-        return self.collect()
 
     def board(self) -> np.ndarray:
         """See :meth:`SerialCrew.board` (the shared-memory view; pipe

@@ -29,15 +29,26 @@ against a real :class:`~repro.wse.memory.MemoryArena`, so oversized
 columns raise :class:`~repro.util.errors.PeOutOfMemory` exactly like
 the oracle.
 
-Two engines share the machinery:
+The module also holds the machinery every non-oracle engine shares:
 
-* :class:`VectorEngine` — one problem, ``(nx, ny, nz)`` sweeps;
-* :class:`BatchedVectorEngine` — many independent problems on one grid
-  shape, ``(batch, nx, ny, nz)`` sweeps with per-problem convergence
-  masking: converged lanes freeze (no further updates, no further
-  charges) while the rest keep iterating, and every lane gets its own
-  :class:`~repro.core.program.EngineReport` whose counters equal what a
-  serial vectorized solve of that problem alone would have produced.
+* :func:`run_lanes` — the CG recurrence, once: one lane-stacked driver
+  behind :class:`VectorEngine`, :class:`BatchedVectorEngine`, the fused
+  engines (:mod:`repro.fused.engine`) and the sharded engine
+  (:mod:`repro.shard.engine`), each of which supplies only a *sweep*
+  (the numerics of the four CG phases over its own data layout);
+* :class:`_LaneEngine` — their shared constructor: staging, memory
+  rehearsal, charge models and charge packets;
+* the charge packets (:func:`build_init_packet`,
+  :func:`build_iteration_packets`) — the only charge path: each lane's
+  counters are composed once, at the end, from packets played once.
+
+Here the sweep is :class:`StackSweep`, ``(lanes, nx, ny, nz)`` array
+sweeps over a stack of same-shape problems with per-lane convergence
+masking: converged lanes freeze (no further updates) while the rest
+keep iterating, and every lane's
+:class:`~repro.core.program.EngineReport` equals what a one-lane solve
+of that problem would have produced.  :class:`VectorEngine` is the
+one-lane stack; :class:`BatchedVectorEngine` the many-lane one.
 
 What the model gives up: link-level contention, task skew between
 neighbouring PEs, and per-wavelet ordering.  What it buys: fabrics the
@@ -110,7 +121,8 @@ def normalize_guesses(initial_pressure, count: int, shape: tuple) -> list:
     """One initial guess per problem: ``None`` (problem defaults), a
     single shared field, or a per-problem stack/sequence (the multi-RHS
     transient case).  The single owner of this validation — the solver's
-    ``solve_batch`` and the batched engine both route through it."""
+    ``solve_batch`` and the shared engine constructor both route through
+    it."""
     if initial_pressure is None:
         return [None] * count
     if isinstance(initial_pressure, np.ndarray):
@@ -139,8 +151,8 @@ class _Staging:
 
     Built per problem by :func:`_stage_problem` (trailing ``(nx, ny,
     nz)`` axes); :func:`_stack_stagings` stacks several single-problem
-    stagings into one ``(batch, nx, ny, nz)`` staging for the batched
-    engine.  The numerics kernels (:func:`_apply_fields` and friends)
+    stagings into one ``(lanes, nx, ny, nz)`` staging for
+    :class:`StackSweep`.  The numerics kernels (:func:`_apply_fields` and friends)
     only touch attributes, so both layouts execute the same code."""
 
     __slots__ = (
@@ -315,7 +327,7 @@ def staging_to_arrays(st: _Staging, program: CgProgram) -> dict[str, np.ndarray]
 def _gather_staging(st: _Staging, idx: np.ndarray, variant: KernelVariant) -> _Staging:
     """The rows ``idx`` of a stacked staging, as a smaller staging.
 
-    Lets the batched engine run the FV operator over only the still-
+    Lets :class:`StackSweep` run the FV operator over only the still-
     active lanes once enough of the batch has converged (elementwise
     results are identical; only frozen-lane work is skipped).  Gathers
     just the arrays :func:`_apply_fields` reads."""
@@ -344,42 +356,45 @@ def _gather_staging(st: _Staging, idx: np.ndarray, variant: KernelVariant) -> _S
 
 
 def _stack_stagings(stagings: Sequence[_Staging], program: CgProgram) -> _Staging:
-    """Stack per-problem stagings into one ``(batch, nx, ny, nz)`` staging."""
+    """Stack per-problem stagings into one ``(batch, nx, ny, nz)`` staging.
+
+    A single staging stacks as ``[None]`` views of its own arrays — a
+    one-lane stack costs no copy."""
     out = _Staging()
 
-    def stack(name: str):
-        return np.stack([getattr(s, name) for s in stagings])
+    def stack(arrays):
+        return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+    def field(name: str):
+        return stack([getattr(s, name) for s in stagings])
+
+    def ports(name: str, keys):
+        return {
+            port: stack([getattr(s, name)[port] for s in stagings]) for port in keys
+        }
 
     for name in ("y", "b", "r", "p"):
-        setattr(out, name, stack(name))
+        setattr(out, name, field(name))
     out.z = out.inv_diag = out.mg_hier = None
-    out.acc = stack("acc") if program.accumulation else None
+    out.acc = field("acc") if program.accumulation else None
     out.coeff = out.coeff_down = out.coeff_up = None
     out.ups = out.ups_down = out.ups_up = out.lam = out.lam_nbr = None
     if program.variant is KernelVariant.PRECOMPUTED:
-        out.coeff = {
-            port: np.stack([s.coeff[port] for s in stagings]) for port in COEFF_BUFFER
-        }
-        out.coeff_down = stack("coeff_down")
-        out.coeff_up = stack("coeff_up")
+        out.coeff = ports("coeff", COEFF_BUFFER)
+        out.coeff_down = field("coeff_down")
+        out.coeff_up = field("coeff_up")
     else:
-        out.ups = {
-            port: np.stack([s.ups[port] for s in stagings]) for port in UPSILON_BUFFER
-        }
-        out.ups_down = stack("ups_down")
-        out.ups_up = stack("ups_up")
-        out.lam = stack("lam")
-        out.lam_nbr = {
-            port: np.stack([s.lam_nbr[port] for s in stagings])
-            for port in MOBILITY_BUFFER
-        }
+        out.ups = ports("ups", UPSILON_BUFFER)
+        out.ups_down = field("ups_down")
+        out.ups_up = field("ups_up")
+        out.lam = field("lam")
+        out.lam_nbr = ports("lam_nbr", MOBILITY_BUFFER)
     if program.jacobi:
-        out.inv_diag = stack("inv_diag")
-        out.z = stack("z")
-    elif program.mg:
-        out.z = stack("z")
-    out.full_cols = stack("full_cols")
-    out.blend_mask = stack("blend_mask")
+        out.inv_diag = field("inv_diag")
+    if program.uses_z:
+        out.z = field("z")
+    out.full_cols = field("full_cols")
+    out.blend_mask = field("blend_mask")
     out.has_full = any(s.has_full for s in stagings)
     out.has_partial = any(s.has_partial for s in stagings)
     out.kind_counts = None  # per-lane; lives with each lane's charge model
@@ -553,12 +568,11 @@ def _memory_report(
 class _ChargeModel:
     """Analytic per-problem cycle/counter state over the ISA cost tables.
 
-    One instance accumulates the charges of one problem's solve.  The
-    batched engine additionally uses throwaway instances as *charge
-    packets*: play a phase sequence once on a :meth:`fresh` model, then
-    :meth:`merge` the result into every lane that executed that sequence
-    — per-lane charges stay exactly what a serial solve of that lane
-    would have recorded, at a fraction of the bookkeeping cost.
+    Instances played once are *charge packets*: play a phase sequence on
+    a :meth:`fresh` model, then :meth:`merge_scaled` the result into
+    every lane that executed that sequence — per-lane charges stay
+    exactly what itemised charging would have recorded, at a fraction of
+    the bookkeeping cost.
     """
 
     def __init__(
@@ -711,8 +725,8 @@ class _ChargeModel:
         Charges are additive, so replaying a per-iteration packet ``n``
         times equals one scaled merge — O(1) bookkeeping per lane
         instead of O(iterations).  State visits are *not* touched (their
-        order is iteration-interleaved; the batched engine reconstructs
-        the sequence explicitly)."""
+        order is iteration-interleaved; :meth:`_Lane.compose`
+        reconstructs the sequence explicitly)."""
         if n <= 0:
             return
         c, o = self.counters, packet.counters
@@ -741,228 +755,6 @@ class _ChargeModel:
         )
 
 
-# -- the serial (batch=1) engine ----------------------------------------------
-
-
-class VectorEngine:
-    """Whole-fabric array execution of the dataflow CG program.
-
-    Same constructor vocabulary as the event engine: the problem, the
-    program, and the machine staging knobs (spec, dtype, SIMD width,
-    initial guess).  Construction stages the field arrays and rehearses
-    the per-PE memory budget; :meth:`run` executes the CG.
-    """
-
-    name = "vectorized"
-
-    def __init__(
-        self,
-        problem: SinglePhaseProblem,
-        program: CgProgram,
-        *,
-        spec: WseSpecs,
-        dtype=np.float32,
-        simd_width: int | None = None,
-        initial_pressure: np.ndarray | None = None,
-        accumulation: np.ndarray | None = None,
-        rhs: np.ndarray | None = None,
-    ):
-        if program.batch != 1:
-            raise ConfigurationError(
-                f"VectorEngine runs single-problem programs; got batch="
-                f"{program.batch} (use BatchedVectorEngine)"
-            )
-        self.problem = problem
-        self.program = program
-        self.spec = spec
-        self.mapping = ProblemMapping(problem.grid, spec)
-        self.dtype = np.dtype(dtype)
-        self.simd_width = int(
-            simd_width if simd_width is not None else spec.simd_width_f32
-        )
-        grid = problem.grid
-        self.width, self.height, self.depth = grid.nx, grid.ny, grid.nz
-        self.num_pes = self.width * self.height
-        self._suppress = program.comm_only
-
-        self.st = _stage_problem(
-            problem, program, self.dtype, initial_pressure,
-            accumulation=accumulation, rhs=rhs,
-        )
-        self._memory = _memory_report(
-            spec, program, self.depth, self.dtype, self.st.kind_counts
-        )
-        self.model = _ChargeModel(
-            width=self.width, height=self.height, depth=self.depth,
-            simd_width=self.simd_width, spec=spec, suppress=self._suppress,
-            kind_counts=self.st.kind_counts, kernel_plans=self.st.kernel_plans,
-        )
-        self._mg_packet = None
-        if program.mg:
-            from repro.mg import build_mg_packet
-
-            self._mg_packet = build_mg_packet(self.model, self.st.mg_hier)
-        self._history: list[float] = []
-
-    # -- numerics -------------------------------------------------------------
-
-    def _dot(self, a: np.ndarray, b: np.ndarray) -> float:
-        """Global dot product, float64 accumulation."""
-        if self._suppress:
-            return 0.0
-        return float(
-            np.dot(a.reshape(-1).astype(np.float64), b.reshape(-1).astype(np.float64))
-        )
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        if self._suppress:
-            return np.zeros_like(x)
-        return _apply_fields(self.st, self.program.variant, x)
-
-    def _allreduce(self, local_total: float) -> float:
-        """Charge one all-reduce round; return the global total (exact —
-        the chain sum is associative in exact arithmetic)."""
-        self.model.charge_allreduce()
-        return 0.0 if self._suppress else float(local_total)
-
-    # -- the solve ------------------------------------------------------------
-
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> EngineReport:
-        """Execute the CG program; phase order and control flow replicate
-        the event engine's state machine exactly."""
-        program, st, m = self.program, self.st, self.model
-        y, b, r, p = st.y, st.b, st.r, st.p
-        jacobi, suppress = program.jacobi, self._suppress
-        mg = program.mg
-        if mg:
-            from repro.mg import mg_apply
-
-        # INIT: r0 = b - A y0 ; p0 = r0 (or z0) ; rtr = <r0, r0|z0>
-        m.visit(CGState.INIT)
-        m.visit(CGState.EXCHANGE)
-        m.charge_exchange()
-        m.visit(CGState.COMPUTE_JX)
-        m.charge_kernel()
-        jx = self._apply(y)
-        m.vec(Op.FSUB)  # r = b - Jx
-        if not suppress:
-            np.subtract(b, jx, out=r, casting="unsafe")
-        if jacobi:
-            m.vec(Op.FMUL)  # z = r / diag
-            m.vec(Op.FMOV)  # p = z
-            if not suppress:
-                np.multiply(r, st.inv_diag, out=st.z, casting="unsafe")
-                p[...] = st.z
-            local = self._dot(r, st.z) if not suppress else 0.0
-        elif mg:
-            m.merge_scaled(self._mg_packet, 1)  # z = V-cycle(r)
-            m.vec(Op.FMOV)  # p = z
-            st.z[...] = mg_apply(st.mg_hier, r).astype(self.dtype)
-            p[...] = st.z
-            local = self._dot(r, st.z)
-        else:
-            m.vec(Op.FMOV)  # p = r
-            if not suppress:
-                p[...] = r
-            local = self._dot(r, r)
-        m.vec(Op.FMA)  # local dot
-        m.visit(CGState.DOT_RR)
-        rtr = self._allreduce(local)
-        self._history.append(rtr)
-
-        k = 0
-        terminal: CGState | None = None
-        while terminal is None:
-            m.visit(CGState.ITER_CHECK)
-            if program.check_convergence and rtr < program.tol_rtr:
-                terminal = CGState.CONVERGED
-                break
-            if k >= program.iteration_limit:
-                terminal = (
-                    CGState.CONVERGED
-                    if (program.check_convergence and rtr < program.tol_rtr)
-                    else CGState.MAXITER
-                )
-                break
-
-            m.visit(CGState.EXCHANGE)
-            m.charge_exchange()
-            m.visit(CGState.COMPUTE_JX)
-            m.charge_kernel()
-            jx = self._apply(p)
-            m.vec(Op.FMA)  # local p^T Jp
-            m.visit(CGState.DOT_PAP)
-            pap = self._allreduce(self._dot(p, jx))
-
-            m.visit(CGState.COMPUTE_ALPHA)
-            if pap == 0.0:
-                if not suppress and program.check_convergence:
-                    raise ConfigurationError(
-                        "vectorized engine: p^T A p = 0 with live arithmetic"
-                    )
-                alpha = 0.0
-            else:
-                alpha = rtr / pap
-            m.scalar(4)  # scalar divide on the CE
-
-            m.visit(CGState.UPDATE_SOL)
-            m.vec(Op.FMA)  # y += alpha p
-            m.visit(CGState.UPDATE_RES)
-            m.vec(Op.FMA)  # r -= alpha Jp
-            if not suppress:
-                y += alpha * p
-                r += (-alpha) * jx
-            if jacobi:
-                m.vec(Op.FMUL)
-                if not suppress:
-                    np.multiply(r, st.inv_diag, out=st.z, casting="unsafe")
-                local = self._dot(r, st.z)
-            elif mg:
-                m.merge_scaled(self._mg_packet, 1)  # z = V-cycle(r)
-                st.z[...] = mg_apply(st.mg_hier, r).astype(self.dtype)
-                local = self._dot(r, st.z)
-            else:
-                local = self._dot(r, r)
-            m.vec(Op.FMA)
-            m.visit(CGState.DOT_RR)
-            rtr_new = self._allreduce(local)
-
-            k += 1
-            m.visit(CGState.THRES_CHECK)
-            self._history.append(rtr_new)
-            if program.check_convergence and rtr_new < program.tol_rtr:
-                terminal = CGState.CONVERGED
-                break
-            m.visit(CGState.COMPUTE_BETA)
-            beta = (rtr_new / rtr) if rtr > 0 else 0.0
-            m.scalar(4)
-            m.visit(CGState.UPDATE_DIR)
-            m.vec(Op.FMUL)  # p *= beta
-            m.vec(Op.FADD)  # p += r (or z)
-            if not suppress:
-                np.multiply(p, beta, out=p, casting="unsafe")
-                p += st.z if (jacobi or mg) else r
-            rtr = rtr_new
-
-        m.visit(terminal)
-        converged = terminal is CGState.CONVERGED
-        m.finalize()
-        return EngineReport(
-            pressure=y.copy(),
-            iterations=k,
-            converged=converged,
-            residual_history=list(self._history),
-            trace=m.trace,
-            counters=m.counters,
-            elapsed_seconds=m.makespan / self.spec.clock_hz,
-            memory=dict(self._memory),
-            state_visits=list(m.state_visits),
-            engine=self.name,
-            preconditioner=(
-                st.mg_hier.telemetry(k + 1) if mg else None
-            ),
-        )
-
 
 # -- charge packets -----------------------------------------------------------
 
@@ -972,14 +764,12 @@ def build_init_packet(
 ) -> _ChargeModel:
     """Play the INIT phase's charge sequence once on a fresh model.
 
-    The sequence mirrors :meth:`VectorEngine.run`'s init statement for
-    statement; the played model is a reusable *packet* — merge it (via
+    The sequence is the event oracle's INIT, statement for statement;
+    the played model is a reusable *packet* — merge it (via
     ``merge_scaled``) into any charge model with the same Dirichlet
-    histogram instead of re-itemising the charges.  Shared by the
-    batched and fused engines (the sharded engine charges its init
-    inline, interleaved with crew dispatch).  ``mg_packet`` (one V-cycle
-    of charges, from ``repro.mg.build_mg_packet``) replaces the Jacobi
-    FMUL when the program preconditions with multigrid."""
+    histogram instead of re-itemising the charges.  ``mg_packet`` (one
+    V-cycle of charges, from ``repro.mg.build_mg_packet``) replaces the
+    Jacobi FMUL when the program preconditions with multigrid."""
     init = model.fresh()
     init.visit(CGState.INIT)
     init.visit(CGState.EXCHANGE)
@@ -1006,11 +796,11 @@ def build_iteration_packets(
 ) -> tuple[_ChargeModel, _ChargeModel, _ChargeModel]:
     """Play the loop's three charge segments once on fresh models.
 
-    Returns ``(check, body, direction)`` packets whose sequences mirror
-    :meth:`VectorEngine.run`'s loop statement for statement — the charge
-    vocabulary every fabric engine shares (batched lanes, the sharded
-    coordinator and the fused hot loop all merge these same packets, so
-    counters/traffic/makespan agree exactly by construction)."""
+    Returns ``(check, body, direction)`` packets: the ITER_CHECK visit,
+    the iteration body up to THRES_CHECK, and the direction update.
+    Every driver-backed engine composes its charges from these packets
+    (see :meth:`_Lane.compose`), so counters/traffic/makespan agree
+    exactly by construction."""
     check = model.fresh()
     check.visit(CGState.ITER_CHECK)
 
@@ -1046,40 +836,167 @@ def build_iteration_packets(
     return check, body, direction
 
 
-# -- the batched engine -------------------------------------------------------
+# -- the CG driver ------------------------------------------------------------
 
 
-class BatchedVectorEngine:
-    """``(batch, nx, ny, nz)`` execution of one program over many problems.
+class _Lane:
+    """One problem's side of a driver run: its resolved tolerance, memory
+    statistics, mg hierarchy, and the charge packets its Dirichlet
+    histogram selects."""
 
-    All problems must share one grid *shape* (spacings, permeability and
-    boundary conditions are free per problem); the engine stacks their
-    stagings along a leading batch axis and sweeps every CG phase over
-    the whole stack at once.  Lanes freeze as they converge: a frozen
-    lane receives no further vector updates and no further charges, so
-    each lane's :class:`EngineReport` — iterates, residual history,
-    counters, traffic, cycles, memory — is exactly what a serial
-    :class:`VectorEngine` solve of that problem alone would produce
-    (pinned by ``tests/test_batched_engine.py`` and fuzzed in
-    ``tests/test_engine_fuzz.py``).
+    __slots__ = ("tol", "memory", "mg_hier", "packets")
 
-    Charging uses *packets*: the per-iteration charge sequence of a lane
-    depends only on its Dirichlet-class histogram, so it is played once
-    per distinct histogram on a fresh :class:`_ChargeModel` and merged
-    into each lane per iteration — O(1) bookkeeping per lane-iteration
-    instead of replaying every instruction, which is where the batched
-    path's host-side throughput win comes from.
+    def __init__(self, tol, memory, mg_hier, packets):
+        self.tol, self.memory, self.mg_hier = tol, memory, mg_hier
+        self.packets = packets
 
-    ``tol_rtrs`` supplies each lane's resolved absolute tolerance
-    (defaulting to ``program.tol_rtr``); ``initial_pressure`` accepts a
-    single shared guess or one per lane (multi-RHS transient studies).
+    def compose(self, k: int, at_thres: bool, terminal: CGState) -> _ChargeModel:
+        """The lane's whole charge stream after ``k`` iterations.
+
+        ``init + n_check·check + n_body·body + n_dir·direction``, then
+        the terminal visit — numerically identical to replaying every
+        iteration, in O(1) merges.  A lane that left the loop at
+        THRES_CHECK (``at_thres``) skipped its last ITER_CHECK and
+        direction update; one that left at ITER_CHECK did neither."""
+        init, check, body, direction = self.packets
+        n_dir = k - 1 if at_thres else k
+        m = init.fresh()
+        m.merge_scaled(init, 1)
+        m.merge_scaled(check, n_dir + 1)
+        m.merge_scaled(body, k)
+        m.merge_scaled(direction, n_dir)
+        full = check.state_visits + body.state_visits + direction.state_visits
+        m.state_visits = (
+            init.state_visits + full * n_dir + check.state_visits
+            + (body.state_visits if at_thres else [])
+        )
+        m.visit(terminal)
+        m.finalize()
+        return m
+
+
+def run_lanes(engine: "_LaneEngine", sweep) -> list[EngineReport]:
+    """Run the CG recurrence over every lane of ``engine``.
+
+    The one copy of the event oracle's state machine outside the
+    oracle: init, the ITER_CHECK / iteration-limit / THRES_CHECK exits,
+    alpha and beta with the ``p^T A p = 0`` guard, and the zeroed
+    scalars of ``comm_only`` programs.  Lanes freeze as they exit; the
+    rest keep iterating.  ``sweep`` does the numerics on lane index
+    lists, each call returning one float64 dot per listed lane:
+
+    * ``init()`` — ``r = b - A y``, ``z = M r``, ``p = z|r``; ``r·(z|r)``;
+    * ``apply_dot(lanes)`` — ``Ap``; ``p·Ap``;
+    * ``update(lanes, alphas)`` — ``y += αp``, ``r -= αAp``, ``z = M r``;
+      ``r·(z|r)``;
+    * ``direction(lanes, betas)`` — ``p = βp + (z|r)``;
+
+    plus ``pressure(lane)`` and ``extras()`` (report payload fields).
+    Charges are composed per lane at the end (:meth:`_Lane.compose`).
+    """
+    program, lanes = engine.program, engine.lanes
+    live = not program.comm_only
+    check, limit = program.check_convergence, program.iteration_limit
+
+    def scalars(values) -> list[float]:
+        return list(values) if live else [0.0] * len(values)
+
+    rtr = scalars(sweep.init())
+    histories = [[value] for value in rtr]
+    iters = [0] * len(lanes)
+    terminal: list[CGState | None] = [None] * len(lanes)
+    at_thres = [False] * len(lanes)
+    active = list(range(len(lanes)))
+    while True:
+        survivors = []
+        for i in active:
+            if check and rtr[i] < lanes[i].tol:
+                terminal[i] = CGState.CONVERGED
+            elif iters[i] >= limit:
+                terminal[i] = CGState.MAXITER
+            else:
+                survivors.append(i)
+        active = survivors
+        if not active:
+            break
+        alphas = []
+        for i, pap in zip(active, scalars(sweep.apply_dot(active))):
+            if pap == 0.0:
+                if live and check:
+                    lane = f" (batch lane {i})" if len(lanes) > 1 else ""
+                    raise ConfigurationError(
+                        f"{engine.name} engine: p^T A p = 0 with live "
+                        f"arithmetic{lane}"
+                    )
+                alphas.append(0.0)
+            else:
+                alphas.append(rtr[i] / pap)
+        survivors, betas = [], []
+        for i, value in zip(active, scalars(sweep.update(active, alphas))):
+            iters[i] += 1
+            histories[i].append(value)
+            if check and value < lanes[i].tol:
+                terminal[i] = CGState.CONVERGED
+                at_thres[i] = True
+            else:
+                survivors.append(i)
+                betas.append(value / rtr[i] if rtr[i] > 0 else 0.0)
+            rtr[i] = value
+        if survivors:
+            sweep.direction(survivors, betas)
+        active = survivors
+
+    extras = sweep.extras()
+    reports = []
+    for i, lane in enumerate(lanes):
+        m = lane.compose(iters[i], at_thres[i], terminal[i])
+        reports.append(EngineReport(
+            pressure=sweep.pressure(i),
+            iterations=iters[i],
+            converged=terminal[i] is CGState.CONVERGED,
+            residual_history=histories[i],
+            trace=m.trace,
+            counters=m.counters,
+            elapsed_seconds=m.makespan / engine.spec.clock_hz,
+            memory=dict(lane.memory),
+            state_visits=m.state_visits,
+            engine=engine.name,
+            preconditioner=(
+                lane.mg_hier.telemetry(iters[i] + 1) if program.mg else None
+            ),
+            **{key: dict(value) for key, value in extras.items()},
+        ))
+    return reports
+
+
+# -- the shared engine constructor --------------------------------------------
+
+
+def _one(value):
+    return None if value is None else [value]
+
+
+class _LaneEngine:
+    """Staging, memory rehearsal, charge models and packets for the
+    driver-backed engines.
+
+    ``problems`` is one problem for single-problem engines, a sequence
+    of same-shape problems for batched ones (``batched = True``).
+    Construction stages every problem and rehearses its per-PE memory
+    budget (raising :class:`~repro.util.errors.PeOutOfMemory` like an
+    oversized CSL program); the lanes' charge packets are played once
+    per distinct Dirichlet histogram.  ``tol_rtrs`` supplies each lane's
+    resolved absolute tolerance (defaulting to ``program.tol_rtr``);
+    ``initial_pressure``/``accumulation``/``rhs`` take one field shared
+    by every lane or one per lane.
     """
 
-    name = "batched"
+    name: str
+    batched = False
 
     def __init__(
         self,
-        problems: Sequence[SinglePhaseProblem],
+        problems,
         program: CgProgram,
         *,
         spec: WseSpecs,
@@ -1090,6 +1007,18 @@ class BatchedVectorEngine:
         accumulation=None,
         rhs=None,
     ):
+        if not self.batched:
+            if program.batch != 1:
+                from repro.core.engines import BATCH_CAPABLE_ENGINES
+
+                raise ConfigurationError(
+                    f"{type(self).__name__} solves one problem; got batch="
+                    f"{program.batch} (batched programs need a batch-capable "
+                    f"engine: {', '.join(BATCH_CAPABLE_ENGINES)})"
+                )
+            problems = [problems]
+            initial_pressure = _one(initial_pressure)
+            accumulation, rhs = _one(accumulation), _one(rhs)
         problems = list(problems)
         if not problems:
             raise ConfigurationError("batched engine needs at least one problem")
@@ -1104,310 +1033,234 @@ class BatchedVectorEngine:
                 f"all problems in a batch must share one grid shape; got "
                 f"{sorted(shapes)}"
             )
+        count = len(problems)
+        if tol_rtrs is None:
+            tol_rtrs = [program.tol_rtr] * count
+        if len(tol_rtrs) != count:
+            raise ConfigurationError(
+                f"tol_rtrs has {len(tol_rtrs)} entries for a batch of {count}"
+            )
         self.problems = problems
-        self.batch = len(problems)
         self.program = program
         self.spec = spec
-        self.mapping = ProblemMapping(problems[0].grid, spec)
+        grid = problems[0].grid
+        self.mapping = ProblemMapping(grid, spec)
         self.dtype = np.dtype(dtype)
         self.simd_width = int(
             simd_width if simd_width is not None else spec.simd_width_f32
         )
-        grid = problems[0].grid
         self.width, self.height, self.depth = grid.nx, grid.ny, grid.nz
-        self.num_pes = self.width * self.height
-        self._suppress = program.comm_only
 
-        if tol_rtrs is None:
-            tol_rtrs = [program.tol_rtr] * self.batch
-        if len(tol_rtrs) != self.batch:
-            raise ConfigurationError(
-                f"tol_rtrs has {len(tol_rtrs)} entries for a batch of "
-                f"{self.batch}"
-            )
-        self._tols = [float(t) for t in tol_rtrs]
-
-        guesses = normalize_guesses(initial_pressure, self.batch, grid.shape)
-        accs = normalize_guesses(accumulation, self.batch, grid.shape)
-        rhss = normalize_guesses(rhs, self.batch, grid.shape)
-        stagings = [
+        self.stagings = [
             _stage_problem(
                 problem, program, self.dtype, guess,
                 accumulation=acc, rhs=lane_rhs,
             )
             for problem, guess, acc, lane_rhs in zip(
-                problems, guesses, accs, rhss
+                problems,
+                normalize_guesses(initial_pressure, count, grid.shape),
+                normalize_guesses(accumulation, count, grid.shape),
+                normalize_guesses(rhs, count, grid.shape),
             )
         ]
-        self.st = _stack_stagings(stagings, program)
-        self._memory = [
-            _memory_report(spec, program, self.depth, self.dtype, s.kind_counts)
-            for s in stagings
-        ]
-        self._models = [
-            _ChargeModel(
+
+        def model(st: _Staging) -> _ChargeModel:
+            return _ChargeModel(
                 width=self.width, height=self.height, depth=self.depth,
-                simd_width=self.simd_width, spec=spec, suppress=self._suppress,
-                kind_counts=s.kind_counts, kernel_plans=s.kernel_plans,
+                simd_width=self.simd_width, spec=spec,
+                suppress=program.comm_only,
+                kind_counts=st.kind_counts, kernel_plans=st.kernel_plans,
             )
-            for s in stagings
-        ]
-        self._mg_hiers = [s.mg_hier for s in stagings]
-        self._mg_packet = None
+
+        mg_packet = None
         if program.mg:
             from repro.mg import build_mg_packet
 
             # All lanes share the grid shape and the program's mg knobs,
-            # so one V-cycle packet serves the whole batch.
-            self._mg_packet = build_mg_packet(
-                self._models[0], stagings[0].mg_hier
-            )
-        # One packet set per distinct Dirichlet histogram (everything else
-        # in the charge sequence is shared across lanes).
-        self._packets: dict[tuple, dict[str, _ChargeModel]] = {}
-        self._lane_sig = []
-        for s, model in zip(stagings, self._models):
-            sig = tuple(sorted((k.name, v) for k, v in s.kind_counts.items()))
-            self._lane_sig.append(sig)
-            if sig not in self._packets:
-                self._packets[sig] = self._build_packets(model)
+            # so one V-cycle packet serves every lane.
+            first = self.stagings[0]
+            mg_packet = build_mg_packet(model(first), first.mg_hier)
+        # One packet set per distinct Dirichlet histogram (everything
+        # else in the charge sequence is shared across lanes).
+        packets: dict[tuple, tuple] = {}
+        self.lanes = []
+        for st, tol in zip(self.stagings, tol_rtrs):
+            sig = tuple(sorted((k.name, v) for k, v in st.kind_counts.items()))
+            if sig not in packets:
+                lane_model = model(st)
+                packets[sig] = (
+                    build_init_packet(lane_model, program.jacobi, mg_packet),
+                    *build_iteration_packets(lane_model, program.jacobi, mg_packet),
+                )
+            self.lanes.append(_Lane(
+                float(tol),
+                _memory_report(spec, program, self.depth, self.dtype, st.kind_counts),
+                st.mg_hier, packets[sig],
+            ))
 
 
-    def _build_packets(self, model: _ChargeModel) -> dict[str, _ChargeModel]:
-        """Play each phase sequence once; the played models are the
-        per-iteration charge packets for every lane with this model's
-        Dirichlet histogram.  Sequences mirror :meth:`VectorEngine.run`
-        statement for statement."""
-        jacobi = self.program.jacobi
-        init = build_init_packet(model, jacobi, self._mg_packet)
-        check, body, direction = build_iteration_packets(
-            model, jacobi, self._mg_packet
-        )
-        return {"init": init, "check": check, "body": body, "direction": direction}
+# -- the whole-array lane stack -----------------------------------------------
 
-    # -- numerics -------------------------------------------------------------
 
-    def _dot_rows(self, a: np.ndarray, b: np.ndarray) -> float:
-        """One lane's global dot product, float64 accumulation (same
-        flatten-and-accumulate order as the serial engine)."""
-        if self._suppress:
-            return 0.0
+class StackSweep:
+    """Whole-array sweeps over the lane stack ``(lanes, nx, ny, nz)``.
+
+    Every CG phase is one NumPy sweep over all active lanes at once;
+    frozen lanes get no further updates.  Once half the stack has
+    frozen, the FV operator runs over a gather of the active lanes
+    only (elementwise results are identical either way).  Jacobi is
+    applied inside the update sweep, mg through the host V-cycle per
+    lane."""
+
+    def __init__(self, stagings: Sequence[_Staging], program: CgProgram, dtype):
+        self.st = _stack_stagings(stagings, program)
+        self.mg_hiers = [s.mg_hier for s in stagings]
+        self.variant = program.variant
+        self.jacobi, self.mg, self.uses_z = program.jacobi, program.mg, program.uses_z
+        self.dtype = np.dtype(dtype)
+        self.jx: np.ndarray | None = None
+        self.n = len(stagings)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The FV operator over the whole stack."""
+        return _apply_fields(self.st, self.variant, x)
+
+    @staticmethod
+    def dot(a: np.ndarray, b: np.ndarray) -> float:
+        """One lane's global dot product, float64 accumulation."""
         return float(
             np.dot(a.reshape(-1).astype(np.float64), b.reshape(-1).astype(np.float64))
         )
 
-    def _lane_dot(self, i: int, a: np.ndarray, b: np.ndarray) -> float:
-        if self._suppress:
-            return 0.0
-        return self._dot_rows(a[i], b[i])
-
-    def _lane_scalars(self, values: Sequence[float]) -> np.ndarray:
+    def _scalars(self, values: Sequence[float]) -> np.ndarray:
         """Per-lane scalars as a broadcastable ``(lanes, 1, 1, 1)`` array
-        in the working dtype — elementwise identical to the serial
-        engine's python-float-times-array updates."""
+        in the working dtype — elementwise identical to a python float
+        times a single lane's array."""
         return np.asarray(values, dtype=self.dtype).reshape((-1, 1, 1, 1))
 
-    # -- the solve ------------------------------------------------------------
-
-    def run(self, *, track_states_for: tuple[int, int] = (0, 0)) -> list[EngineReport]:
-        """Execute the batched CG; per-lane control flow replicates the
-        serial vectorized engine (and therefore the event oracle)
-        exactly, with converged lanes frozen out of updates and charges.
-        """
-        program, st = self.program, self.st
-        B = self.batch
-        jacobi, suppress = program.jacobi, self._suppress
-        mg = program.mg
-        uses_z = jacobi or mg
-        if mg:
+    def _precondition(self, lanes: Sequence[int], idx) -> None:
+        """``z = M r`` on ``lanes`` (``idx`` is None when all are active)."""
+        st = self.st
+        if self.jacobi:
+            if idx is None:
+                np.multiply(st.r, st.inv_diag, out=st.z, casting="unsafe")
+            else:
+                st.z[idx] = st.r[idx] * st.inv_diag[idx]
+        elif self.mg:
             from repro.mg import mg_apply
-        models, tols = self._models, self._tols
-        packets = [self._packets[sig] for sig in self._lane_sig]
-        y, b, r, p = st.y, st.b, st.r, st.p
 
-        histories: list[list[float]] = [[] for _ in range(B)]
-        iters = [0] * B
-        terminal: list[CGState | None] = [None] * B
-        # Where each lane left the loop: at ITER_CHECK ("check": init
-        # convergence or the iteration limit) or at THRES_CHECK
-        # ("thres": converged right after an iteration's DOT_RR).  The
-        # distinction fixes how many check/direction packets the lane
-        # executed; charging is composed once per lane at the end.
-        terminal_at = ["check"] * B
-        rtr = [0.0] * B
+            for i in lanes:
+                st.z[i] = mg_apply(self.mg_hiers[i], st.r[i]).astype(self.dtype)
 
-        # INIT: r0 = b - A y0 ; p0 = r0 (or z0) ; rtr = <r0, r0|z0>
-        jx = None if suppress else _apply_fields(st, program.variant, y)
-        if not suppress:
-            np.subtract(b, jx, out=r, casting="unsafe")
-            if jacobi:
-                np.multiply(r, st.inv_diag, out=st.z, casting="unsafe")
-                p[...] = st.z
-            elif mg:
-                for i in range(B):
-                    st.z[i] = mg_apply(self._mg_hiers[i], r[i]).astype(self.dtype)
-                p[...] = st.z
-            else:
-                p[...] = r
-        for i in range(B):
-            local = self._lane_dot(i, r, st.z if uses_z else r)
-            rtr[i] = 0.0 if suppress else local
-            histories[i].append(rtr[i])
+    def _residual_dots(self, lanes: Sequence[int]) -> list[float]:
+        w = self.st.z if self.uses_z else self.st.r
+        return [self.dot(self.st.r[i], w[i]) for i in lanes]
 
-        active = list(range(B))
-        while active:
-            survivors = []
-            for i in active:
-                if program.check_convergence and rtr[i] < tols[i]:
-                    terminal[i] = CGState.CONVERGED
-                elif iters[i] >= program.iteration_limit:
-                    terminal[i] = (
-                        CGState.CONVERGED
-                        if (program.check_convergence and rtr[i] < tols[i])
-                        else CGState.MAXITER
-                    )
-                else:
-                    survivors.append(i)
-            active = survivors
-            if not active:
-                break
-            idx = None if len(active) == B else np.asarray(active)
+    def init(self) -> list[float]:
+        st = self.st
+        np.subtract(st.b, self.apply(st.y), out=st.r, casting="unsafe")
+        lanes = range(self.n)
+        self._precondition(lanes, None)
+        st.p[...] = st.z if self.uses_z else st.r
+        return self._residual_dots(lanes)
 
-            # The FV operator, with rows aligned to `active` order.  Once
-            # half the batch has frozen, sweep only the active lanes (a
-            # gather of the staged coefficient rows buys skipping the
-            # operator work on frozen lanes; elementwise results are
-            # identical either way).
-            if suppress:
-                jx_act = None
-            elif idx is None:
-                jx_act = _apply_fields(st, program.variant, p)
-            elif 2 * len(active) <= B:
-                sub = _gather_staging(st, idx, program.variant)
-                jx_act = _apply_fields(sub, program.variant, p[idx])
-            else:
-                jx_act = _apply_fields(st, program.variant, p)[idx]
-            alphas = []
-            for pos, i in enumerate(active):
-                pap = 0.0 if suppress else self._dot_rows(p[i], jx_act[pos])
-                if pap == 0.0:
-                    if not suppress and program.check_convergence:
-                        raise ConfigurationError(
-                            "vectorized engine: p^T A p = 0 with live "
-                            f"arithmetic (batch lane {i})"
-                        )
-                    alphas.append(0.0)
-                else:
-                    alphas.append(rtr[i] / pap)
+    def apply_dot(self, lanes: Sequence[int]) -> list[float]:
+        st = self.st
+        if len(lanes) == self.n:
+            self.jx = self.apply(st.p)
+        elif 2 * len(lanes) <= self.n:
+            idx = np.asarray(lanes)
+            sub = _gather_staging(st, idx, self.variant)
+            self.jx = _apply_fields(sub, self.variant, st.p[idx])
+        else:
+            self.jx = self.apply(st.p)[np.asarray(lanes)]
+        return [self.dot(st.p[i], self.jx[pos]) for pos, i in enumerate(lanes)]
 
-            if not suppress:
-                a = self._lane_scalars(alphas)
-                if idx is None:
-                    y += a * p
-                    r += (-a) * jx_act
-                    if jacobi:
-                        np.multiply(r, st.inv_diag, out=st.z, casting="unsafe")
-                else:
-                    y[idx] += a * p[idx]
-                    r[idx] += (-a) * jx_act
-                    if jacobi:
-                        st.z[idx] = r[idx] * st.inv_diag[idx]
-                if mg:
-                    for i in active:
-                        st.z[i] = mg_apply(
-                            self._mg_hiers[i], r[i]
-                        ).astype(self.dtype)
+    def update(self, lanes: Sequence[int], alphas: Sequence[float]) -> list[float]:
+        st, a = self.st, self._scalars(alphas)
+        idx = None if len(lanes) == self.n else np.asarray(lanes)
+        if idx is None:
+            st.y += a * st.p
+            st.r += (-a) * self.jx
+        else:
+            st.y[idx] += a * st.p[idx]
+            st.r[idx] += (-a) * self.jx
+        self._precondition(lanes, idx)
+        return self._residual_dots(lanes)
 
-            new_rtr = dict.fromkeys(active, 0.0)
-            for i in active:
-                local = self._lane_dot(i, r, st.z if uses_z else r)
-                new_rtr[i] = 0.0 if suppress else local
-                iters[i] += 1
-                histories[i].append(new_rtr[i])
+    def direction(self, lanes: Sequence[int], betas: Sequence[float]) -> None:
+        st, bv = self.st, self._scalars(betas)
+        w = st.z if self.uses_z else st.r
+        if len(lanes) == self.n:
+            np.multiply(st.p, bv, out=st.p, casting="unsafe")
+            st.p += w
+        else:
+            idx = np.asarray(lanes)
+            chunk = st.p[idx]
+            np.multiply(chunk, bv, out=chunk, casting="unsafe")
+            chunk += w[idx]
+            st.p[idx] = chunk
 
-            survivors = []
-            for i in active:
-                if program.check_convergence and new_rtr[i] < tols[i]:
-                    terminal[i] = CGState.CONVERGED
-                    terminal_at[i] = "thres"
-                else:
-                    survivors.append(i)
+    def pressure(self, lane: int) -> np.ndarray:
+        return np.array(self.st.y[lane], copy=True)
 
-            if survivors and not suppress:
-                betas = [
-                    (new_rtr[i] / rtr[i]) if rtr[i] > 0 else 0.0 for i in survivors
-                ]
-                bv = self._lane_scalars(betas)
-                if len(survivors) == B:
-                    np.multiply(p, bv, out=p, casting="unsafe")
-                    p += st.z if uses_z else r
-                else:
-                    sidx = np.asarray(survivors)
-                    chunk = p[sidx]
-                    np.multiply(chunk, bv, out=chunk, casting="unsafe")
-                    chunk += (st.z if uses_z else r)[sidx]
-                    p[sidx] = chunk
-            for i in active:
-                rtr[i] = new_rtr[i]
-            active = survivors
+    def extras(self) -> dict:
+        return {}
 
-        reports = []
-        for i in range(B):
-            m = models[i]
-            pk = packets[i]
-            k = iters[i]
-            # Compose the lane's full charge stream: init, then k (or
-            # k+1) ITER_CHECKs, k loop bodies and the direction updates
-            # its terminal path implies — numerically identical to
-            # replaying every iteration, in O(1) merges.
-            if terminal_at[i] == "thres":
-                n_check, n_body, n_dir = k, k, k - 1
-            else:
-                n_check, n_body, n_dir = k + 1, k, k
-            m.merge_scaled(pk["init"], 1)
-            m.merge_scaled(pk["check"], n_check)
-            m.merge_scaled(pk["body"], n_body)
-            m.merge_scaled(pk["direction"], n_dir)
-            full_iter = (
-                pk["check"].state_visits
-                + pk["body"].state_visits
-                + pk["direction"].state_visits
-            )
-            visits = list(pk["init"].state_visits)
-            if terminal_at[i] == "thres":
-                visits += full_iter * (k - 1)
-                visits += pk["check"].state_visits + pk["body"].state_visits
-            else:
-                visits += full_iter * k
-                visits += pk["check"].state_visits
-            m.state_visits = visits
-            m.visit(terminal[i])
-            m.finalize()
-            reports.append(
-                EngineReport(
-                    pressure=np.array(y[i], copy=True),
-                    iterations=iters[i],
-                    converged=terminal[i] is CGState.CONVERGED,
-                    residual_history=histories[i],
-                    trace=m.trace,
-                    counters=m.counters,
-                    elapsed_seconds=m.makespan / self.spec.clock_hz,
-                    memory=dict(self._memory[i]),
-                    state_visits=list(m.state_visits),
-                    engine=self.name,
-                    preconditioner=(
-                        self._mg_hiers[i].telemetry(iters[i] + 1)
-                        if mg else None
-                    ),
-                )
-            )
-        return reports
+
+class VectorEngine(_LaneEngine):
+    """Whole-fabric array execution of the dataflow CG program.
+
+    Same constructor vocabulary as the event engine: the problem, the
+    program, and the machine staging knobs (spec, dtype, SIMD width,
+    initial guess).  Construction stages the field arrays and rehearses
+    the per-PE memory budget; :meth:`run` executes the CG as a one-lane
+    :class:`StackSweep`.
+    """
+
+    name = "vectorized"
+
+    def __init__(self, problem: SinglePhaseProblem, program: CgProgram, **kwargs):
+        super().__init__(problem, program, **kwargs)
+        self.sweep = StackSweep(self.stagings, program, self.dtype)
+
+    def run(self) -> EngineReport:
+        return run_lanes(self, self.sweep)[0]
+
+
+class BatchedVectorEngine(_LaneEngine):
+    """``(batch, nx, ny, nz)`` execution of one program over many problems.
+
+    All problems must share one grid *shape* (spacings, permeability and
+    boundary conditions are free per problem); the engine stacks their
+    stagings along a leading batch axis and sweeps every CG phase over
+    the whole stack at once.  Lanes freeze as they converge, so each
+    lane's :class:`EngineReport` — iterates, residual history, counters,
+    traffic, cycles, memory — is exactly what a serial
+    :class:`VectorEngine` solve of that problem alone would produce
+    (pinned by ``tests/test_batched_engine.py`` and fuzzed in
+    ``tests/test_engine_fuzz.py``).
+    """
+
+    name = "batched"
+    batched = True
+
+    def __init__(
+        self, problems: Sequence[SinglePhaseProblem], program: CgProgram, **kwargs
+    ):
+        super().__init__(problems, program, **kwargs)
+        self.sweep = StackSweep(self.stagings, program, self.dtype)
+
+    def run(self) -> list[EngineReport]:
+        return run_lanes(self, self.sweep)
 
 
 __all__ = [
     "BatchedVectorEngine",
+    "StackSweep",
     "VectorEngine",
     "build_init_packet",
     "build_iteration_packets",
+    "run_lanes",
     "staging_to_arrays",
 ]

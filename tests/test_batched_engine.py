@@ -146,10 +146,18 @@ class TestBatchedValidation:
             solve_batch([make_problem(3, 3, 2)], spec=SPEC, engine="event")
 
     def test_vector_engine_rejects_batched_program(self):
+        from repro.fused import FusedVectorEngine
+        from repro.shard import ShardedVectorEngine
         from repro.wse.vector_engine import VectorEngine
 
-        with pytest.raises(ConfigurationError, match="batch"):
-            VectorEngine(make_problem(3, 3, 2), CgProgram(batch=2), spec=SPEC)
+        for engine in (VectorEngine, FusedVectorEngine, ShardedVectorEngine):
+            with pytest.raises(
+                ConfigurationError,
+                match=f"{engine.__name__} solves one problem; got batch=2 "
+                "\\(batched programs need a batch-capable engine: "
+                "vectorized, fused\\)",
+            ):
+                engine(make_problem(3, 3, 2), CgProgram(batch=2), spec=SPEC)
 
     def test_mismatched_grid_shapes_rejected(self):
         problems = [make_problem(3, 3, 2, seed=0), make_problem(4, 3, 2, seed=0)]

@@ -3,8 +3,7 @@
 The cross-engine *numerics* parity (fused vs. event/vectorized/sharded/
 batched, steady and transient) lives in ``tests/test_engine_fuzz.py``;
 this file pins the machinery around it: tile selection and validation,
-backend resolution (including the graceful numba fallback), the
-``fused_tile`` spec knob's round-trip and engine gating, the bitwise
+the ``fused_tile`` spec knob's round-trip and engine gating, the bitwise
 loop-reorder property of :class:`TiledApply`, telemetry plumbing, and
 the sharded-worker composition.
 """
@@ -24,12 +23,9 @@ from repro.core.fv_kernel import KernelVariant
 from repro.core.program import CgProgram
 from repro.core.solver import WseMatrixFreeSolver
 from repro.fused import (
-    BACKEND_ENV,
     FusedVectorEngine,
     auto_tile,
     normalize_fused_tile,
-    numba_available,
-    resolve_backend,
     tile_boxes,
 )
 from repro.fused.kernels import FusedNumpyBackend, create_backend
@@ -83,48 +79,6 @@ def test_tile_boxes_partition_the_grid_in_row_major_order():
         cover[x0:x1, y0:y1] += 1
     assert (cover == 1).all()
     assert boxes == sorted(boxes)  # row-major: the deterministic dot order
-
-
-# -- backend resolution -------------------------------------------------------
-
-
-def test_resolve_backend_numpy_is_always_available():
-    assert resolve_backend("numpy") == ("numpy", None)
-
-
-def test_resolve_backend_numba_falls_back_gracefully():
-    name, note = resolve_backend("numba")
-    if numba_available():
-        assert (name, note) == ("numba", None)
-    else:
-        assert name == "numpy"
-        assert "numba" in note
-
-
-def test_resolve_backend_auto_and_env(monkeypatch):
-    expected = "numba" if numba_available() else "numpy"
-    assert resolve_backend("auto")[0] == expected
-    assert resolve_backend(None)[0] == expected
-    monkeypatch.setenv(BACKEND_ENV, "numpy")
-    assert resolve_backend(None) == ("numpy", None)
-    monkeypatch.setenv(BACKEND_ENV, "numba")
-    assert resolve_backend(None)[0] == expected
-
-
-def test_resolve_backend_rejects_unknown_names():
-    with pytest.raises(ConfigurationError, match="unknown fused backend"):
-        resolve_backend("cython")
-
-
-def test_fallback_note_reaches_the_telemetry(monkeypatch):
-    if numba_available():  # pragma: no cover - environment-dependent
-        pytest.skip("numba importable; the fallback note cannot occur")
-    monkeypatch.setenv(BACKEND_ENV, "numba")
-    report = WseMatrixFreeSolver(
-        make_problem(4, 4, 2), engine="fused", spec=SPEC, rel_tol=1e-6
-    ).solve()
-    assert report.fused["backend"] == "numpy"
-    assert "numba" in report.fused["note"]
 
 
 # -- the spec knob ------------------------------------------------------------
@@ -183,7 +137,9 @@ def test_engine_registry_gates_the_tile_knob():
 
 def test_fused_engine_rejects_batched_programs():
     problem = make_problem(4, 4, 2)
-    with pytest.raises(ConfigurationError, match="BatchedFusedEngine"):
+    with pytest.raises(
+        ConfigurationError, match="batch-capable engine: vectorized, fused"
+    ):
         FusedVectorEngine(
             problem, CgProgram(fixed_iterations=2, batch=2), spec=SPEC
         )
@@ -251,9 +207,7 @@ def test_create_backend_dispatch():
     problem = make_problem(4, 4, 2)
     program = CgProgram(fixed_iterations=2)
     st = _stage_problem(problem, program, np.dtype(np.float32), None)
-    backend = create_backend(
-        "numpy", st, program, tile=(2, 2), dtype=np.dtype(np.float32)
-    )
+    backend = create_backend(st, program, tile=(2, 2), dtype=np.dtype(np.float32))
     assert backend.name == "numpy" and backend.n_tiles == 4
 
 
@@ -269,7 +223,7 @@ def test_fused_report_and_backend_telemetry():
     assert report.engine == "fused"
     assert report.fused["tile"] == [4, 5]
     assert report.fused["tiles"] == 2
-    assert report.fused["backend"] in ("numpy", "numba")
+    assert report.fused["backend"] == "numpy"
     result = repro.solve(
         problem,
         backend="wse",
