@@ -36,7 +36,7 @@ setup(
     python_requires=">=3.10",
     install_requires=["numpy>=1.24"],
     extras_require={
-        "test": ["pytest>=7", "hypothesis>=6"],
+        "test": ["pytest>=7", "hypothesis>=6", "scipy"],
     },
     classifiers=[
         "Programming Language :: Python :: 3",

@@ -86,8 +86,13 @@ def create_engine(
     shard_shape=None,
     shard_workers: str | None = None,
     fused_tile=None,
+    mg_hierarchy=None,
 ) -> FabricEngine:
-    """Instantiate the engine ``name`` for one solve (staging included)."""
+    """Instantiate the engine ``name`` for one solve (staging included).
+
+    ``mg_hierarchy`` hands a multigrid program the hierarchy its solve
+    already built (see ``core.solver.solve_hierarchy``); the engine
+    builds its own when it is omitted."""
     if name not in ENGINE_NAMES:
         raise _unknown_engine_error(name)
     if name not in SHARD_CAPABLE_ENGINES and (
@@ -114,7 +119,8 @@ def create_engine(
     if name == "event":
         from repro.core.event_engine import EventEngine
 
-        return EventEngine(problem, program, **kwargs)
+        return EventEngine(problem, program, mg_hierarchy=mg_hierarchy, **kwargs)
+    kwargs["mg_hierarchies"] = [mg_hierarchy]
     if name == "sharded":
         from repro.shard import ShardedVectorEngine
 
@@ -155,11 +161,13 @@ def create_batched_engine(
     accumulation=None,
     rhs=None,
     fused_tile=None,
+    mg_hierarchies=None,
 ):
     """Instantiate the batched engine for one multi-problem solve.
 
     ``name`` follows the same vocabulary as :func:`create_engine`; only
-    :data:`BATCH_CAPABLE_ENGINES` are accepted."""
+    :data:`BATCH_CAPABLE_ENGINES` are accepted.  ``mg_hierarchies``
+    holds one prebuilt hierarchy per problem (or ``None``)."""
     if name not in ENGINE_NAMES:
         raise _unknown_engine_error(name)
     if name not in BATCH_CAPABLE_ENGINES:
@@ -181,6 +189,7 @@ def create_batched_engine(
         initial_pressure=initial_pressure,
         accumulation=accumulation,
         rhs=rhs,
+        mg_hierarchies=mg_hierarchies,
     )
     if name == "fused":
         from repro.fused import BatchedFusedEngine

@@ -48,6 +48,7 @@ class EventEngine:
         initial_pressure: np.ndarray | None = None,
         accumulation: np.ndarray | None = None,
         rhs: np.ndarray | None = None,
+        mg_hierarchy=None,
     ):
         from repro.perf.memmodel import SCALAR_RESERVE_BYTES
         from repro.util.errors import ConfigurationError
@@ -102,13 +103,15 @@ class EventEngine:
             from repro.mg import build_hierarchy, build_mg_packet
             from repro.wse.vector_engine import _ChargeModel
 
-            self.mg_hierarchy = build_hierarchy(
-                problem.coefficients,
-                problem.dirichlet.mask,
-                accumulation=accumulation,
-                levels=program.mg_levels,
-                smoother_iters=program.mg_smoother_iters,
-            )
+            if mg_hierarchy is None:
+                mg_hierarchy = build_hierarchy(
+                    problem.coefficients,
+                    problem.dirichlet.mask,
+                    accumulation=accumulation,
+                    levels=program.mg_levels,
+                    smoother_iters=program.mg_smoother_iters,
+                )
+            self.mg_hierarchy = mg_hierarchy
             # The V-cycle's fabric cost is charged from the same analytic
             # packet the vectorized engine merges (only machine
             # parameters are read, so counters/traffic agree exactly).

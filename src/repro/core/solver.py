@@ -36,6 +36,32 @@ def resolve_preconditioner(
     )
 
 
+def solve_hierarchy(
+    problem: SinglePhaseProblem,
+    preconditioner: str,
+    *,
+    accumulation: np.ndarray | None = None,
+    mg_levels: int | None = None,
+    mg_smoother_iters: int | None = None,
+):
+    """The one V-cycle hierarchy of a solve (``None`` unless the
+    canonical ``preconditioner`` is ``"mg"``).
+
+    Built once and shared by tolerance resolution and engine staging,
+    which would otherwise each build the same hierarchy.
+    """
+    if preconditioner != "mg":
+        return None
+    from repro.mg import hierarchy_for_problem
+
+    return hierarchy_for_problem(
+        problem,
+        accumulation=accumulation,
+        levels=mg_levels,
+        smoother_iters=mg_smoother_iters,
+    )
+
+
 def resolve_tolerance(
     problem: SinglePhaseProblem,
     *,
@@ -43,11 +69,10 @@ def resolve_tolerance(
     rel_tol: float | None = None,
     jacobi: bool = False,
     preconditioner: str | None = None,
-    mg_levels: int | None = None,
-    mg_smoother_iters: int | None = None,
     initial_pressure: np.ndarray | None = None,
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
+    mg_hierarchy=None,
 ) -> float:
     """The absolute ε on the global ``r^T r`` the device applies.
 
@@ -59,7 +84,8 @@ def resolve_tolerance(
 
     Preconditioned programs check ε against ``r^T z = r^T M^{-1} r``,
     so the scale is the *preconditioned* initial residual norm (the
-    inverse diagonal for Jacobi, one V-cycle for mg).
+    inverse diagonal for Jacobi, one V-cycle for mg — through
+    ``mg_hierarchy``, the solve's hierarchy from :func:`solve_hierarchy`).
     """
     tol = float(tol_rtr)
     if rel_tol is None:
@@ -91,15 +117,13 @@ def resolve_tolerance(
         diag[problem.dirichlet.mask] = 1.0
         scale = float(np.vdot(r0, r0 / diag).real)
     elif precond == "mg":
-        from repro.mg import hierarchy_for_problem, mg_apply
+        from repro.mg import mg_apply
 
-        hier = hierarchy_for_problem(
-            problem,
-            accumulation=accumulation,
-            levels=mg_levels,
-            smoother_iters=mg_smoother_iters,
-        )
-        scale = float(np.vdot(r0, mg_apply(hier, r0)).real)
+        if mg_hierarchy is None:
+            raise ConfigurationError(
+                "mg tolerance resolution needs the solve's hierarchy"
+            )
+        scale = float(np.vdot(r0, mg_apply(mg_hierarchy, r0)).real)
     else:
         scale = float(np.vdot(r0, r0).real)
     return max(tol, rel_tol**2 * scale)
@@ -187,6 +211,13 @@ class WseMatrixFreeSolver:
         self.shard_workers = shard_workers
         self.fused_tile = fused_tile
 
+        hierarchy = solve_hierarchy(
+            problem,
+            self.preconditioner,
+            accumulation=accumulation,
+            mg_levels=mg_levels,
+            mg_smoother_iters=mg_smoother_iters,
+        )
         self.program = CgProgram(
             variant=variant,
             reuse_buffers=reuse_buffers,
@@ -197,7 +228,7 @@ class WseMatrixFreeSolver:
                 2 if mg_smoother_iters is None else int(mg_smoother_iters)
             ),
             comm_only=comm_only,
-            tol_rtr=self._resolved_tolerance(),
+            tol_rtr=self._resolved_tolerance(hierarchy),
             max_iters=self.max_iters,
             fixed_iterations=fixed_iterations,
             accumulation=accumulation is not None,
@@ -218,6 +249,7 @@ class WseMatrixFreeSolver:
             shard_shape=shard_shape,
             shard_workers=shard_workers,
             fused_tile=fused_tile,
+            mg_hierarchy=hierarchy,
         )
         self.mapping = self.engine.mapping
         # Event-engine internals stay reachable for fabric inspection and
@@ -234,18 +266,17 @@ class WseMatrixFreeSolver:
         """Build a solver sized exactly to the problem's lateral grid."""
         return cls(problem, **kwargs)
 
-    def _resolved_tolerance(self) -> float:
+    def _resolved_tolerance(self, hierarchy) -> float:
         """See :func:`resolve_tolerance` (shared with the batched path)."""
         return resolve_tolerance(
             self.problem,
             tol_rtr=self.tol_rtr,
             rel_tol=self.rel_tol,
             preconditioner=self.preconditioner,
-            mg_levels=self.mg_levels,
-            mg_smoother_iters=self.mg_smoother_iters,
             initial_pressure=self.initial_pressure,
             accumulation=self.accumulation,
             rhs=self.rhs,
+            mg_hierarchy=hierarchy,
         )
 
     def solve(self) -> WseSolveReport:
@@ -311,20 +342,29 @@ def solve_batch(
         chunk_guesses = guesses[start : start + size]
         chunk_accs = accs[start : start + size]
         chunk_rhss = rhss[start : start + size]
+        hierarchies = [
+            solve_hierarchy(
+                problem,
+                precond,
+                accumulation=acc,
+                mg_levels=mg_levels,
+                mg_smoother_iters=mg_smoother_iters,
+            )
+            for problem, acc in zip(chunk, chunk_accs)
+        ]
         tols = [
             resolve_tolerance(
                 problem,
                 tol_rtr=tol_rtr,
                 rel_tol=rel_tol,
                 preconditioner=precond,
-                mg_levels=mg_levels,
-                mg_smoother_iters=mg_smoother_iters,
                 initial_pressure=guess,
                 accumulation=acc,
                 rhs=lane_rhs,
+                mg_hierarchy=hierarchy,
             )
-            for problem, guess, acc, lane_rhs in zip(
-                chunk, chunk_guesses, chunk_accs, chunk_rhss
+            for problem, guess, acc, lane_rhs, hierarchy in zip(
+                chunk, chunk_guesses, chunk_accs, chunk_rhss, hierarchies
             )
         ]
         program = CgProgram(
@@ -359,6 +399,7 @@ def solve_batch(
             ) else None,
             rhs=chunk_rhss if any(r is not None for r in chunk_rhss) else None,
             fused_tile=fused_tile,
+            mg_hierarchies=hierarchies,
         )
         reports.extend(batched.run())
     return reports
@@ -427,16 +468,22 @@ def simulate_reports(
     )
     for index in stepper.pending():
         acc, rhs, x0 = stepper.begin(index)
+        hierarchy = solve_hierarchy(
+            problem,
+            precond,
+            accumulation=acc,
+            mg_levels=mg_levels,
+            mg_smoother_iters=mg_smoother_iters,
+        )
         tol = resolve_tolerance(
             problem,
             tol_rtr=tol_rtr,
             rel_tol=rel_tol,
             preconditioner=precond,
-            mg_levels=mg_levels,
-            mg_smoother_iters=mg_smoother_iters,
             initial_pressure=x0,
             accumulation=acc,
             rhs=rhs,
+            mg_hierarchy=hierarchy,
         )
         program = CgProgram(
             variant=variant,
@@ -465,6 +512,7 @@ def simulate_reports(
             shard_shape=shard_shape,
             shard_workers=shard_workers,
             fused_tile=fused_tile,
+            mg_hierarchy=hierarchy,
         )
         report = step_engine.run()
         stepper.advance(report.pressure)

@@ -9,11 +9,15 @@ equal ``apply_jx(..., x)`` exactly (property-tested).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-import scipy.sparse as sp
 
 from repro.fv.coefficients import FluxCoefficients
 from repro.mesh.boundary import DirichletSet
+
+if TYPE_CHECKING:  # scipy loads on first use, not on ``import repro``
+    import scipy.sparse as sp
 
 
 def assemble_jacobian(
@@ -29,6 +33,8 @@ def assemble_jacobian(
     The matrix therefore reproduces Eq. 6 verbatim — and like Eq. 6 it is
     only symmetric on the subspace of vectors vanishing on ``T_D``.
     """
+    import scipy.sparse as sp
+
     grid = coeffs.grid
     n = grid.num_cells
     nyz = grid.ny * grid.nz

@@ -25,11 +25,24 @@ masked cells — the invariant the engine operator relies on.
 Everything here is float64 regardless of the engine's working precision:
 the V-cycle is a host-assisted construct (like tolerance resolution) and
 must produce bitwise-identical ``z`` columns on every engine.
+
+**Flat-stride layout.**  In C order a cell's neighbours along x, y and
+z sit at the fixed flat strides ``ny·nz``, ``nz`` and ``1``.  Each
+level stores one flat ``(n,)`` face buffer per axis whose entry ``i``
+couples cell ``i`` to cell ``i + stride``, **zero-padded** where the
+cell has no face in that direction (the last y-row of every x-plane,
+the top layer of every column).  :func:`level_apply` then runs every
+axis as two contiguous 1-D streams over ``[:n − stride]`` — a padded
+entry adds ``0·z``, which leaves the value unchanged — into the level's
+preallocated scratch, so a sweep allocates nothing.  The 3-D
+``fx/fy/fz`` arrays are views into the same buffers (no coefficient is
+stored twice).  The scratch makes a level non-reentrant: one hierarchy
+serves one solve at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -84,47 +97,93 @@ def _pair_any(mask: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _lower(axis: int) -> tuple[slice, ...]:
+    """The cells that have a face towards their ``+axis`` neighbour."""
+    index = [slice(None)] * 3
+    index[axis] = slice(0, -1)
+    return tuple(index)
+
+
 @dataclass
 class MgLevel:
-    """One level's operator: face coefficients, diagonals, mask."""
+    """One level's operator: face coefficients, diagonals, mask.
+
+    ``faces[axis]`` is the flat, zero-padded face buffer described in
+    the module docstring; the remaining fields are derived from the
+    others on construction.
+    """
 
     shape: tuple[int, int, int]
-    fx: np.ndarray  # (nx-1, ny, nz) float64
-    fy: np.ndarray  # (nx, ny-1, nz) float64
-    fz: np.ndarray  # (nx, ny, nz-1) float64
+    faces: tuple[np.ndarray, np.ndarray, np.ndarray]  # per axis, (n,) float64
     acc: np.ndarray  # (nx, ny, nz) float64 accumulation diagonal
     mask: np.ndarray  # (nx, ny, nz) bool — identity rows
     diag: np.ndarray  # (nx, ny, nz) float64, 1.0 on masked rows
     inv_diag: np.ndarray  # 1 / diag
     dense_inv: np.ndarray | None = None  # coarsest-level exact inverse
+    #: ``(stride, faces[axis][:n − stride])`` per axis with a face.
+    couplings: tuple = field(init=False, repr=False)
+    #: Flat indices of the masked (identity) rows.
+    masked: np.ndarray = field(init=False, repr=False)
+    #: Scratch: the smoother's ``A·z`` / residual, and face products.
+    work: np.ndarray = field(init=False, repr=False)
+    prod: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        _, ny, nz = self.shape
+        n = self.cells
+        self.couplings = tuple(
+            (stride, face[: n - stride])
+            for extent, stride, face in zip(self.shape, (ny * nz, nz, 1), self.faces)
+            if extent > 1
+        )
+        self.masked = np.flatnonzero(self.mask)
+        self.work = np.empty(self.shape, dtype=np.float64)
+        self.prod = np.empty(n, dtype=np.float64)
 
     @property
     def cells(self) -> int:
         nx, ny, nz = self.shape
         return nx * ny * nz
 
+    def face(self, axis: int) -> np.ndarray:
+        """Axis ``axis``'s internal faces as a 3-D view (shape reduced by
+        one along ``axis``)."""
+        return self.faces[axis].reshape(self.shape)[_lower(axis)]
+
+    @property
+    def fx(self) -> np.ndarray:  # (nx-1, ny, nz)
+        return self.face(0)
+
+    @property
+    def fy(self) -> np.ndarray:  # (nx, ny-1, nz)
+        return self.face(1)
+
+    @property
+    def fz(self) -> np.ndarray:  # (nx, ny, nz-1)
+        return self.face(2)
+
 
 def level_apply(level: MgLevel, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free apply of this level's operator (identity masked rows).
 
     Mirrors ``repro.fv.operator.apply_jx``: ``out = diag·z`` minus the
-    symmetric neighbour couplings over internal faces, then masked rows
-    pass ``z`` through unchanged.
+    symmetric neighbour couplings over internal faces (x, y, z; the
+    ``+axis`` neighbour before the ``−axis`` one), then masked rows pass
+    ``z`` through unchanged.  ``z`` may be 3-D or flat; ``out``, when
+    given, must be C-contiguous and shaped like ``z``.
     """
     if out is None:
-        out = np.empty_like(z)
-    np.multiply(level.diag, z, out=out)
-    for axis, f in ((0, level.fx), (1, level.fy), (2, level.fz)):
-        if f.size == 0:
-            continue
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
-        hi[axis] = slice(1, None)
-        lo, hi = tuple(lo), tuple(hi)
-        out[lo] -= f * z[hi]
-        out[hi] -= f * z[lo]
-    np.copyto(out, z, where=level.mask)
+        out = np.empty(z.shape, dtype=z.dtype)
+    zf, of = z.reshape(-1), out.reshape(-1)
+    np.multiply(level.diag.reshape(-1), zf, out=of)
+    for stride, face in level.couplings:
+        m = face.size
+        prod = level.prod[:m]
+        np.multiply(face, zf[stride:], out=prod)
+        np.subtract(of[:m], prod, out=of[:m])
+        np.multiply(face, zf[:m], out=prod)
+        np.subtract(of[stride:], prod, out=of[stride:])
+    of[level.masked] = zf[level.masked]
     return out
 
 
@@ -146,15 +205,18 @@ def prolong(fine_level: MgLevel, zc: np.ndarray) -> np.ndarray:
 
 
 def _level_from_parts(fx, fy, fz, acc, mask, shape) -> MgLevel:
+    faces = []
     diag = np.zeros(shape, dtype=np.float64)
-    for axis, f in ((0, fx), (1, fy), (2, fz)):
+    for axis, f in enumerate((fx, fy, fz)):
+        padded = np.zeros(shape, dtype=np.float64)
+        lo = _lower(axis)
+        padded[lo] = f
+        faces.append(padded.reshape(-1))
         if f.size == 0:
             continue
-        lo = [slice(None)] * 3
         hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
         hi[axis] = slice(1, None)
-        diag[tuple(lo)] += f
+        diag[lo] += f
         diag[tuple(hi)] += f
     diag += acc
     diag[mask] = 1.0
@@ -165,7 +227,7 @@ def _level_from_parts(fx, fy, fz, acc, mask, shape) -> MgLevel:
             "non-positive row"
         )
     return MgLevel(
-        shape=shape, fx=fx, fy=fy, fz=fz, acc=acc, mask=mask,
+        shape=shape, faces=tuple(faces), acc=acc, mask=mask,
         diag=diag, inv_diag=1.0 / diag,
     )
 
@@ -211,14 +273,13 @@ def _dense_matrix(level: MgLevel) -> np.ndarray:
     idx = np.arange(n).reshape(level.shape)
     a = np.zeros((n, n), dtype=np.float64)
     a[idx.ravel(), idx.ravel()] = level.diag.ravel()
-    for axis, f in ((0, level.fx), (1, level.fy), (2, level.fz)):
+    for axis in range(3):
+        f = level.face(axis)
         if f.size == 0:
             continue
-        lo = [slice(None)] * 3
         hi = [slice(None)] * 3
-        lo[axis] = slice(0, -1)
         hi[axis] = slice(1, None)
-        rows = idx[tuple(lo)].ravel()
+        rows = idx[_lower(axis)].ravel()
         cols = idx[tuple(hi)].ravel()
         vals = f.ravel()
         a[rows, cols] -= vals

@@ -9,8 +9,6 @@ direct) agree.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.solvers.cg import CGResult
 from repro.util.errors import ConvergenceError
@@ -30,6 +28,8 @@ def scipy_cg_baseline(
     ``atol = sqrt(tol_rtr)`` and ``rtol=0`` for an absolute check equivalent
     to the paper's ``r^T r < ε``.
     """
+    import scipy.sparse.linalg as spla
+
     b_flat = np.asarray(b).reshape(-1)
     x0_flat = None if x0 is None else np.asarray(x0).reshape(-1)
     residuals: list[float] = []
@@ -59,6 +59,8 @@ def scipy_cg_baseline(
 
 def dense_direct_solve(J, b: np.ndarray) -> np.ndarray:
     """Exact solve via dense LU — only for tiny validation grids."""
+    import scipy.sparse as sp
+
     b_flat = np.asarray(b, dtype=np.float64).reshape(-1)
     if sp.issparse(J):
         dense = J.toarray().astype(np.float64)

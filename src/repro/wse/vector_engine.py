@@ -188,13 +188,16 @@ def _stage_problem(
     initial_pressure: np.ndarray | None = None,
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
+    mg_hierarchy=None,
 ) -> _Staging:
     """Stage one problem's field arrays (the whole-fabric analogue of
     ``stage_problem`` on the event fabric).
 
     ``accumulation`` is the transient diagonal ``a = φ c_t V / Δt``
     (required iff ``program.accumulation``); ``rhs`` overrides the
-    interior right-hand side (Dirichlet rows always carry ``p^D``)."""
+    interior right-hand side (Dirichlet rows always carry ``p^D``);
+    ``mg_hierarchy`` is a hierarchy already built for this system (an
+    mg program builds its own when it is ``None``)."""
     st = _Staging()
     grid = problem.grid
     if program.accumulation != (accumulation is not None):
@@ -260,13 +263,15 @@ def _stage_problem(
         from repro.mg import build_hierarchy
 
         st.z = np.zeros(grid.shape, dtype=dtype)
-        st.mg_hier = build_hierarchy(
-            problem.coefficients,
-            problem.dirichlet.mask,
-            accumulation=accumulation,
-            levels=program.mg_levels,
-            smoother_iters=program.mg_smoother_iters,
-        )
+        if mg_hierarchy is None:
+            mg_hierarchy = build_hierarchy(
+                problem.coefficients,
+                problem.dirichlet.mask,
+                accumulation=accumulation,
+                levels=program.mg_levels,
+                smoother_iters=program.mg_smoother_iters,
+            )
+        st.mg_hier = mg_hierarchy
 
     col_all, partial_cols, kind_counts = _classify_columns(problem)
     st.full_cols = col_all
@@ -986,7 +991,9 @@ class _LaneEngine:
     budget (raising :class:`~repro.util.errors.PeOutOfMemory` like an
     oversized CSL program); the lanes' charge packets are played once
     per distinct Dirichlet histogram.  ``tol_rtrs`` supplies each lane's
-    resolved absolute tolerance (defaulting to ``program.tol_rtr``);
+    resolved absolute tolerance (defaulting to ``program.tol_rtr``) and
+    ``mg_hierarchies`` each lane's prebuilt V-cycle hierarchy (built at
+    staging when ``None``);
     ``initial_pressure``/``accumulation``/``rhs`` take one field shared
     by every lane or one per lane.
     """
@@ -1006,6 +1013,7 @@ class _LaneEngine:
         initial_pressure=None,
         accumulation=None,
         rhs=None,
+        mg_hierarchies: Sequence | None = None,
     ):
         if not self.batched:
             if program.batch != 1:
@@ -1040,6 +1048,13 @@ class _LaneEngine:
             raise ConfigurationError(
                 f"tol_rtrs has {len(tol_rtrs)} entries for a batch of {count}"
             )
+        if mg_hierarchies is None:
+            mg_hierarchies = [None] * count
+        if len(mg_hierarchies) != count:
+            raise ConfigurationError(
+                f"mg_hierarchies has {len(mg_hierarchies)} entries for a "
+                f"batch of {count}"
+            )
         self.problems = problems
         self.program = program
         self.spec = spec
@@ -1054,13 +1069,14 @@ class _LaneEngine:
         self.stagings = [
             _stage_problem(
                 problem, program, self.dtype, guess,
-                accumulation=acc, rhs=lane_rhs,
+                accumulation=acc, rhs=lane_rhs, mg_hierarchy=hierarchy,
             )
-            for problem, guess, acc, lane_rhs in zip(
+            for problem, guess, acc, lane_rhs, hierarchy in zip(
                 problems,
                 normalize_guesses(initial_pressure, count, grid.shape),
                 normalize_guesses(accumulation, count, grid.shape),
                 normalize_guesses(rhs, count, grid.shape),
+                mg_hierarchies,
             )
         ]
 

@@ -6,12 +6,16 @@ modes a user would hit (too-deep grids, dead links, fabric/grid
 mismatches).
 """
 
+import os
 import runpy
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from helpers import make_problem
 from repro import api
 from repro.core.exchange import ExchangeColors, HaloExchange
@@ -121,3 +125,23 @@ def test_examples_run(script, argv, monkeypatch, capsys):
     runpy.run_path(script, run_name="__main__")
     out = capsys.readouterr().out
     assert len(out) > 100  # produced a real report
+
+
+def test_import_does_not_load_scipy():
+    """scipy is a test-only dependency: ``import repro`` (and the serving
+    layer) must not pull it in — only the assembled-matrix baselines
+    import it, when called."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys, repro, repro.net; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
