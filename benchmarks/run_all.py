@@ -339,8 +339,6 @@ def run_sharded_throughput(smoke: bool) -> list[dict]:
                 "fixed_iterations": iters,
                 "fabric": f"{lateral}x{lateral}",
                 "shard_shape": None if shape is None else list(shape),
-                "shard_workers": None if shape is None
-                else last.telemetry["shard"]["workers"],
                 "host_cpus": os.cpu_count(),
                 "problems": count,
                 "interleave": "per_problem",

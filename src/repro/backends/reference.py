@@ -49,9 +49,10 @@ class ReferenceBackend:
             options.setdefault("newton_rtol", float(rel_tol))
         return newton_solve(problem, **options)
 
-    def _native_options(
-        self, problem: SinglePhaseProblem, spec: SolveSpec
-    ) -> dict[str, Any]:
+    def _native_options(self, problem: SinglePhaseProblem, spec: SolveSpec):
+        """The ``solve_native`` options for ``spec``, plus the multigrid
+        hierarchy the linear solver runs on (``None`` unless mg) — one
+        build serves the solve and its telemetry."""
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
         options: dict[str, Any] = {
             "tol_rtr": (
@@ -65,32 +66,21 @@ class ReferenceBackend:
             options["newton_rtol"] = spec.tolerance.rel_tol
         if spec.tolerance.max_iters is not None:
             options["max_iters"] = spec.tolerance.max_iters
+        hierarchy = None
+        if spec.preconditioner == "mg":
+            from repro.mg import hierarchy_for_problem
+
+            hierarchy = hierarchy_for_problem(
+                problem,
+                accumulation=None,
+                levels=spec.mg_levels,
+                smoother_iters=spec.mg_smoother_iters,
+            )
         if spec.preconditioner != "none":
             options["linear_solver"] = linear_solver_for(
-                problem,
-                spec.preconditioner,
-                mg_levels=spec.mg_levels,
-                mg_smoother_iters=spec.mg_smoother_iters,
+                problem, spec.preconditioner, hierarchy=hierarchy
             )
-        return options
-
-    def _precond_telemetry(
-        self, problem: SinglePhaseProblem, spec: SolveSpec, cycles: int
-    ):
-        """The telemetry ``preconditioner`` entry: the plain spec string
-        for none/jacobi, the structured multigrid record (level shapes,
-        sweeps, V-cycle count) for mg — the same shape the fabric
-        engines' reports carry."""
-        if spec.preconditioner != "mg":
-            return spec.preconditioner
-        from repro.mg import hierarchy_for_problem
-
-        return hierarchy_for_problem(
-            problem,
-            accumulation=None,
-            levels=spec.mg_levels,
-            smoother_iters=spec.mg_smoother_iters,
-        ).telemetry(cycles)
+        return options, hierarchy
 
     def simulate(
         self,
@@ -218,7 +208,7 @@ class ReferenceBackend:
                 },
             )
             return sim.as_solve_result()
-        options = self._native_options(problem, spec)
+        options, hierarchy = self._native_options(problem, spec)
         start = time.perf_counter()
         report = self.solve_native(problem, **options)
         elapsed = time.perf_counter() - start
@@ -238,7 +228,14 @@ class ReferenceBackend:
             backend=self.name,
             telemetry={
                 "time_kind": "wall_clock",
-                "preconditioner": self._precond_telemetry(problem, spec, cycles),
+                # The structured multigrid record (level shapes, sweeps,
+                # V-cycle count) for mg — the same shape the fabric
+                # engines' reports carry; the plain spec string otherwise.
+                "preconditioner": (
+                    hierarchy.telemetry(cycles)
+                    if hierarchy is not None
+                    else spec.preconditioner
+                ),
                 "newton_iterations": report.newton_iterations,
                 "newton_residual_norms": list(report.residual_norms),
                 "linear_results": list(report.linear_results),

@@ -26,7 +26,7 @@ class WseBackend:
     the fabric execution engine (``"event"``, the per-PE discrete-event
     oracle and the default; ``"vectorized"``, whole-fabric NumPy
     sweeps for paper-scale fabrics; ``"sharded"``, the vectorized
-    numerics domain-decomposed over a worker pool — ``shard_shape``
+    numerics domain-decomposed into shards — ``shard_shape``
     picks the decomposition; or ``"fused"``, the vectorized numerics
     as cache-blocked single-pass CG sweeps — ``fused_tile`` picks the
     tile, and also routes sharded workers through the tiled kernel),

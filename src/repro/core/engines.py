@@ -11,9 +11,9 @@ CG recurrence and the charge accounting exist once:
   cycle/counter model (paper-scale fabrics, identical numerics and
   instruction counts); batched, the same sweeps over a stack of
   same-shape problems;
-* ``"sharded"`` — the vectorized numerics domain-decomposed across a
-  worker pool (threads or shared-memory processes) with real halo
-  exchange between shards and cross-shard dot-product reduction;
+* ``"sharded"`` — the vectorized numerics domain-decomposed into
+  shards, run in order in one process, with real halo exchange between
+  shards and shard-ordered dot-product reduction;
   counters/traffic/memory stay exactly parity-pinned to the
   single-shard vectorized engine;
 * ``"fused"`` — the vectorized numerics executed as one cache-blocked
@@ -45,7 +45,7 @@ ENGINE_NAMES = FABRIC_ENGINES
 
 DEFAULT_ENGINE = "event"
 
-#: Engines that accept a shard layout (``shard_shape``/``shard_workers``).
+#: Engines that accept a shard layout (``shard_shape``).
 SHARD_CAPABLE_ENGINES = ("sharded",)
 
 #: Engines that accept a cache-tile shape (``fused_tile``).  The sharded
@@ -84,7 +84,6 @@ def create_engine(
     accumulation: np.ndarray | None = None,
     rhs: np.ndarray | None = None,
     shard_shape=None,
-    shard_workers: str | None = None,
     fused_tile=None,
     mg_hierarchy=None,
 ) -> FabricEngine:
@@ -95,13 +94,10 @@ def create_engine(
     builds its own when it is omitted."""
     if name not in ENGINE_NAMES:
         raise _unknown_engine_error(name)
-    if name not in SHARD_CAPABLE_ENGINES and (
-        shard_shape is not None or shard_workers is not None
-    ):
+    if name not in SHARD_CAPABLE_ENGINES and shard_shape is not None:
         raise ConfigurationError(
-            f"fabric engine {name!r} is single-shard; shard_shape/"
-            f"shard_workers require one of "
-            f"{', '.join(SHARD_CAPABLE_ENGINES)}"
+            f"fabric engine {name!r} is single-shard; shard_shape requires "
+            f"one of {', '.join(SHARD_CAPABLE_ENGINES)}"
         )
     if name not in TILE_CAPABLE_ENGINES and fused_tile is not None:
         raise ConfigurationError(
@@ -128,7 +124,6 @@ def create_engine(
             problem,
             program,
             shard_shape=shard_shape if shard_shape is not None else (1, 1),
-            shard_workers=shard_workers,  # None -> the adaptive default
             fused_tile=fused_tile,
             **kwargs,
         )

@@ -23,8 +23,8 @@ executed.  Two implementations of the recurrence consume it:
   fabric ``(lanes, nx, ny, nz)`` NumPy array sweeps (vectorized and
   batched — Kronbichler & Kormann's observation that a matrix-free
   operator is just structured array sweeps, applied to the fabric
-  itself), cache-blocked tiled passes (fused), or a shard crew
-  (sharded).
+  itself), cache-blocked tiled passes (fused), or a loop over
+  shard workers (sharded).
 
 Engines return an :class:`EngineReport`, the shared result vocabulary
 (solution + machine telemetry) that ``repro.core.solver`` republishes.
@@ -182,23 +182,23 @@ class CgProgram:
         return [phase.value for phase in self.phases]
 
     def shard_rounds(self) -> tuple["ShardRound", ...]:
-        """The program's phases regrouped into coordinator-dispatched
-        rounds for domain-sharded execution.
+        """The program's phases regrouped into rounds for
+        domain-sharded execution.
 
         A sharded engine cannot interleave phases freely: every halo
         exchange needs the previous round's boundary planes published,
-        and every reduction is a barrier.  The rounds below are the
-        minimal barrier structure of one CG cycle — ``init`` then
+        and every reduction needs every shard's partial.  The rounds
+        below are the minimal structure of one CG cycle — ``init`` then
         ``publish`` run once, then ``body`` → ``update`` → ``direction``
         repeat; ``stage`` and ``gather`` bracket the solve.
-        ``repro.shard`` dispatches worker rounds under exactly these
-        names.
+        ``repro.shard`` runs each round as a loop over the shard
+        workers, calling the worker method of the same name.
 
         A round never both *reads* the halo mailboxes and *writes* them
         (that is why ``publish`` is split out of ``init``): each mailbox
-        plane is single-buffered, so a round that published while its
-        neighbours were still filling would race with them — the
-        round-barrier structure is the entire synchronization story.
+        plane is single-buffered, so a shard that published within the
+        round would overwrite a plane a later shard has yet to read —
+        the round order is the entire synchronization story.
         """
         return (
             ShardRound("stage", (), publishes=True, reduces=False),
@@ -229,13 +229,13 @@ class CgProgram:
 
 @dataclass(frozen=True)
 class ShardRound:
-    """One coordinator-dispatched round of the sharded program.
+    """One round of the sharded program.
 
     ``phases`` are the :class:`Phase` members the round executes on every
     shard; ``publishes`` marks rounds that end by publishing boundary
     planes into the halo mailboxes (consumed by the *next* exchange);
     ``reduces`` marks rounds whose per-shard partial dot products the
-    coordinator folds into one global scalar.
+    sweep folds into one global scalar.
     """
 
     name: str

@@ -154,10 +154,10 @@ class WseMatrixFreeSolver:
       ``"vectorized"`` (whole-fabric array execution with an analytic
       cycle/counter model; same numerics and instruction counts, fabrics
       the event engine cannot reach), or ``"sharded"`` (the vectorized
-      numerics domain-decomposed over a worker pool; accepts
-      ``shard_shape`` and ``shard_workers``), or ``"fused"`` (the
-      vectorized numerics as cache-blocked single-pass CG sweeps;
-      accepts ``fused_tile``, also honoured by ``"sharded"`` workers).
+      numerics domain-decomposed into shards; accepts ``shard_shape``),
+      or ``"fused"`` (the vectorized numerics as cache-blocked
+      single-pass CG sweeps; accepts ``fused_tile``, also honoured by
+      ``"sharded"`` workers).
     """
 
     def __init__(
@@ -183,7 +183,6 @@ class WseMatrixFreeSolver:
         accumulation: np.ndarray | None = None,
         rhs: np.ndarray | None = None,
         shard_shape=None,
-        shard_workers: str | None = None,
         fused_tile=None,
     ):
         if isinstance(variant, str):
@@ -208,7 +207,6 @@ class WseMatrixFreeSolver:
         self.accumulation = accumulation
         self.rhs = rhs
         self.shard_shape = shard_shape
-        self.shard_workers = shard_workers
         self.fused_tile = fused_tile
 
         hierarchy = solve_hierarchy(
@@ -247,7 +245,6 @@ class WseMatrixFreeSolver:
             accumulation=accumulation,
             rhs=rhs,
             shard_shape=shard_shape,
-            shard_workers=shard_workers,
             fused_tile=fused_tile,
             mg_hierarchy=hierarchy,
         )
@@ -433,7 +430,6 @@ def simulate_reports(
     mg_smoother_iters: int | None = None,
     engine: str = DEFAULT_ENGINE,
     shard_shape=None,
-    shard_workers: str | None = None,
     fused_tile=None,
 ):
     """Backward-Euler time stepping on the fabric: one engine solve per
@@ -510,7 +506,6 @@ def simulate_reports(
             accumulation=acc,
             rhs=rhs,
             shard_shape=shard_shape,
-            shard_workers=shard_workers,
             fused_tile=fused_tile,
             mg_hierarchy=hierarchy,
         )

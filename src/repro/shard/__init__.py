@@ -1,5 +1,6 @@
 """Sharded fabric execution: domain decomposition, halo exchange,
-worker crews and inter-shard link accounting.
+per-shard workers (run in order in one process) and inter-shard link
+accounting.
 
 Entry point: :class:`ShardedVectorEngine`, registered behind
 ``MachineSpec(engine="sharded")`` (see :mod:`repro.core.engines`).
@@ -13,11 +14,8 @@ from repro.shard.links import (
     ShardLinkCounters,
     project_multiwafer,
 )
-from repro.shard.workers import CREW_MODES, default_crew
 
 __all__ = [
-    "CREW_MODES",
-    "default_crew",
     "InterShardLinkModel",
     "MultiWaferLink",
     "ShardBox",

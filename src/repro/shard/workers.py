@@ -1,86 +1,30 @@
-"""Shard workers and the pools ("crews") that run them.
+"""Shard workers: one shard's CG numerics, one method per phase.
 
-A :class:`ShardWorker` owns one shard's numerics; the coordinator
-(:class:`repro.shard.engine.ShardedVectorEngine`) drives all workers in
-lockstep *rounds* (named after :meth:`CgProgram.shard_rounds`): every
-round is a barrier — the coordinator dispatches it to every worker,
-collects every shard's partial dot product, reduces, and only then
-dispatches the next round.  Halo mailboxes are written at the end of one
-round and read at the start of a later one, so the barrier *is* the
-happens-before edge that makes the exchange race-free.
-
-Three crews share the worker code:
-
-* ``serial`` — an in-process loop (deterministic baseline, tests);
-* ``thread`` — persistent daemon threads over the coordinator's own
-  arrays (NumPy releases the GIL inside the sweeps, so shards genuinely
-  overlap; zero-copy staging — the default);
-* ``process`` — one ``multiprocessing`` process per shard over
-  shared-memory buffers (``RawArray``: staged fields, halo mailboxes and
-  the gathered result live in anonymous shared mappings inherited by the
-  children — no files, no named segments to leak).  Pays a per-solve
-  spawn cost; wins only when sweeps are large enough that thread-level
-  parallelism is memory-bandwidth-bound.
-
-Every crew guarantees **no orphaned workers**: threads and processes are
-daemonic, and ``close()`` (called by the engine in a ``finally``) joins
-them with a terminate fallback.  ``benchmarks/shard_smoke.py`` asserts
-this in CI.
+A :class:`ShardWorker` owns one shard's fields; the engine's
+:class:`~repro.shard.engine.CrewSweep` runs every CG phase as a loop
+over all workers in shard order, reduces their partial dot products,
+and only then starts the next phase.  Halo mailboxes are written at the
+end of one phase and read at the start of a later one, so the phase
+order is what makes the single-buffered exchange correct.  Shards run
+in order in one process; the decomposition models the fabric's, not
+the host's.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-import os
-import queue
-import threading
-import traceback
-from dataclasses import dataclass
-
 import numpy as np
 
-from repro.core.fv_kernel import KernelVariant
 from repro.shard.halo import ShardFields
-from repro.shard.layout import DIRECTIONS, OPPOSITE, ShardBox, ShardLayout
-from repro.util.errors import ConfigurationError
-
-#: Worker-pool modes the sharded engine accepts.
-CREW_MODES = ("serial", "thread", "process")
-
-
-def default_crew(layout: ShardLayout) -> str:
-    """The crew a solve gets when the caller doesn't choose one.
-
-    A worker pool only pays for its barrier sync when shards can
-    actually sweep concurrently: with a single shard, or a single host
-    CPU, the pool is pure overhead, so those solves run the in-process
-    serial crew.  Every crew is bit-identical, so the choice is purely
-    a throughput matter."""
-    if len(layout.boxes) == 1 or (os.cpu_count() or 1) < 2:
-        return "serial"
-    return "thread"
-
-
-@dataclass(frozen=True)
-class WorkerParams:
-    """Per-solve scalars every worker needs (picklable — no arrays)."""
-
-    variant: KernelVariant
-    jacobi: bool
-    dtype: str
-    has_full: bool
-    has_partial: bool
-    #: Cache-tile shape for the fused-kernel composition (``None`` keeps
-    #: the strided whole-slab sweep).
-    fused_tile: tuple[int, int] | None = None
-    #: Multigrid preconditioning: workers push residual blocks to the
-    #: result board and read the coordinator's V-cycle output back from
-    #: it (the ``push``/``mg_*`` rounds).
-    mg: bool = False
+from repro.shard.layout import OPPOSITE, ShardBox
 
 
 class ShardWorker:
-    """One shard's CG numerics between coordinator rounds."""
+    """One shard's CG numerics between the sweep's phases.
+
+    ``board`` is the full-grid scratch the sweep shares with every
+    worker: multigrid residual/correction staging between phases, and
+    the gather target.  ``field_options`` go to
+    :class:`~repro.shard.halo.ShardFields`."""
 
     def __init__(
         self,
@@ -88,19 +32,11 @@ class ShardWorker:
         box: ShardBox,
         neighbors: dict[str, int | None],
         outboxes: list[dict[str, np.ndarray]],
-        result: np.ndarray,
-        params: WorkerParams,
+        board: np.ndarray,
+        **field_options,
     ):
-        self.box = box
-        self.params = params
-        self.fields = ShardFields(
-            arrays, box,
-            variant=params.variant, jacobi=params.jacobi,
-            has_full=params.has_full, has_partial=params.has_partial,
-            dtype=np.dtype(params.dtype),
-            fused_tile=params.fused_tile,
-            mg=params.mg,
-        )
+        self.fields = f = ShardFields(arrays, box, **field_options)
+        self.jacobi, self.mg = f.jacobi, f.mg
         self.outbox = outboxes[box.index]
         # My halo source in direction d is that neighbour's plane
         # published *toward me* — its OPPOSITE[d] mailbox.
@@ -110,380 +46,80 @@ class ShardWorker:
             )
             for direction, nbr in neighbors.items()
         }
-        self.result = result
+        self.board = board[box.x0:box.x1, box.y0:box.y1, :]
         self.jx: np.ndarray | None = None
 
-    def _board(self) -> np.ndarray:
-        box = self.box
-        return self.result[box.x0:box.x1, box.y0:box.y1, :]
+    def stage(self) -> None:
+        self.fields.publish(self.fields.y, self.outbox)
 
-    def round(self, name: str, scalar: float | None = None) -> float | None:
+    def init(self) -> float | None:
         f = self.fields
-        jacobi, mg = self.params.jacobi, self.params.mg
-        box = self.box
-        if name == "gather":
-            self.result[box.x0:box.x1, box.y0:box.y1, :] = f.y
+        f.fill(f.y, self.inboxes)
+        jx = f.apply()
+        np.subtract(f.b, jx, out=f.r, casting="unsafe")
+        if self.mg:
+            # The V-cycle is a host-assisted program construct: push
+            # the residual block to the board and wait for the sweep's
+            # z (``mg_init`` completes the phase).
+            self.board[...] = f.r
             return None
-        if name == "stage":
-            f.publish(f.y, self.outbox)
-            return None
-        if name == "init":
-            f.fill(f.y, self.inboxes)
-            jx = f.apply()
-            np.subtract(f.b, jx, out=f.r, casting="unsafe")
-            if mg:
-                # The V-cycle is a host-assisted program construct: push
-                # the residual block to the board and wait for the
-                # coordinator's z ("mg_init" completes the phase).
-                self._board()[...] = f.r
-                return None
-            if jacobi:
-                np.multiply(f.r, f.inv_diag, out=f.z, casting="unsafe")
-                f.p[...] = f.z
-                local = f.dot(f.r, f.z)
-            else:
-                f.p[...] = f.r
-                local = f.dot(f.r, f.r)
-            # p is NOT published here: neighbours may still be filling
-            # their y halos from these same single-buffered mailbox
-            # planes — the coordinator runs the "publish" round after
-            # the init barrier.
-            return local
-        if name == "mg_init":
-            f.z[...] = self._board()
+        if self.jacobi:
+            np.multiply(f.r, f.inv_diag, out=f.z, casting="unsafe")
             f.p[...] = f.z
-            return f.dot(f.r, f.z)
-        if name == "publish":
-            f.publish(f.p, self.outbox)
+            local = f.dot(f.r, f.z)
+        else:
+            f.p[...] = f.r
+            local = f.dot(f.r, f.r)
+        # p is NOT published here: shards later in the loop still fill
+        # their y halos from these same single-buffered mailbox planes
+        # — the sweep runs ``publish`` after every shard's init.
+        return local
+
+    def mg_init(self) -> float:
+        f = self.fields
+        f.z[...] = self.board
+        f.p[...] = f.z
+        return f.dot(f.r, f.z)
+
+    def publish(self) -> None:
+        self.fields.publish(self.fields.p, self.outbox)
+
+    def body(self) -> float:
+        f = self.fields
+        f.fill(f.p, self.inboxes)
+        self.jx = f.apply()
+        return f.dot(f.p, self.jx)
+
+    def update(self, alpha: float) -> float | None:
+        # axpys through the fields' scratch (f._diff is only live
+        # inside apply) — `alpha * p` lands in the same dtype with the
+        # same rounding, minus the temporary.
+        f = self.fields
+        np.multiply(f.p, alpha, out=f._diff, casting="unsafe")
+        f.y += f._diff
+        np.multiply(self.jx, -alpha, out=f._diff, casting="unsafe")
+        f.r += f._diff
+        if self.mg:
+            self.board[...] = f.r
             return None
-        if name == "body":
-            f.fill(f.p, self.inboxes)
-            self.jx = f.apply()
-            return f.dot(f.p, self.jx)
-        if name == "update":
-            # axpys through the fields' scratch (f._diff is only live
-            # inside apply) — `alpha * p` lands in the same dtype with
-            # the same rounding, minus the temporary.
-            alpha = scalar
-            np.multiply(f.p, alpha, out=f._diff, casting="unsafe")
-            f.y += f._diff
-            np.multiply(self.jx, -alpha, out=f._diff, casting="unsafe")
-            f.r += f._diff
-            if mg:
-                self._board()[...] = f.r
-                return None
-            if jacobi:
-                np.multiply(f.r, f.inv_diag, out=f.z, casting="unsafe")
-                return f.dot(f.r, f.z)
-            return f.dot(f.r, f.r)
-        if name == "mg_update":
-            f.z[...] = self._board()
+        if self.jacobi:
+            np.multiply(f.r, f.inv_diag, out=f.z, casting="unsafe")
             return f.dot(f.r, f.z)
-        if name == "direction":
-            beta = scalar
-            np.multiply(f.p, beta, out=f.p, casting="unsafe")
-            f.p += f.z if (jacobi or mg) else f.r
-            f.publish(f.p, self.outbox)
-            return None
-        raise ConfigurationError(f"unknown shard round {name!r}")
+        return f.dot(f.r, f.r)
+
+    def mg_update(self) -> float:
+        f = self.fields
+        f.z[...] = self.board
+        return f.dot(f.r, f.z)
+
+    def direction(self, beta: float) -> None:
+        f = self.fields
+        np.multiply(f.p, beta, out=f.p, casting="unsafe")
+        f.p += f.z if (self.jacobi or self.mg) else f.r
+        f.publish(f.p, self.outbox)
+
+    def gather(self) -> None:
+        self.board[...] = self.fields.y
 
 
-def _build_outboxes(
-    layout: ShardLayout, nz: int, dtype: np.dtype, make
-) -> list[dict[str, np.ndarray]]:
-    """One mailbox plane per live (shard, direction); ``make(shape)``
-    allocates (numpy for serial/thread, shared memory for process)."""
-    out: list[dict[str, np.ndarray]] = []
-    for box in layout.boxes:
-        planes: dict[str, np.ndarray] = {}
-        for direction, _, _ in DIRECTIONS:
-            if layout.neighbor_index(box, direction) is not None:
-                extent = box.ny if direction in ("west", "east") else box.nx
-                planes[direction] = make((extent, nz), dtype)
-        out.append(planes)
-    return out
-
-
-# -- crews --------------------------------------------------------------------
-
-
-class SerialCrew:
-    """All shards in one loop — the determinism/debug baseline."""
-
-    mode = "serial"
-
-    def __init__(self, layout, arrays, params, nz, dtype):
-        dtype = np.dtype(dtype)
-        shape = (layout.nx, layout.ny, nz)
-
-        def make(s, dt):
-            return np.zeros(s, dtype=dt)
-
-        self._result = np.zeros(shape, dtype=dtype)
-        outboxes = _build_outboxes(layout, nz, dtype, make)
-        self._workers = [
-            ShardWorker(
-                arrays, box, layout.neighbors(box), outboxes,
-                self._result, params,
-            )
-            for box in layout.boxes
-        ]
-
-    def start(self) -> None:
-        self.round("stage")
-
-    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        return [w.round(name, scalar) for w in self._workers]
-
-    def board(self) -> np.ndarray:
-        """The shared full-grid scratch board (mg residual/correction
-        staging between barriers; also the gather target)."""
-        return self._result
-
-    def gather(self) -> np.ndarray:
-        self.round("gather")
-        return self._result.copy()
-
-    def close(self) -> None:
-        pass
-
-
-class ThreadCrew:
-    """Persistent daemon threads, one per shard, dispatched per round."""
-
-    mode = "thread"
-
-    def __init__(self, layout, arrays, params, nz, dtype):
-        dtype = np.dtype(dtype)
-        shape = (layout.nx, layout.ny, nz)
-
-        def make(s, dt):
-            return np.zeros(s, dtype=dt)
-
-        self._result = np.zeros(shape, dtype=dtype)
-        outboxes = _build_outboxes(layout, nz, dtype, make)
-        self._workers = [
-            ShardWorker(
-                arrays, box, layout.neighbors(box), outboxes,
-                self._result, params,
-            )
-            for box in layout.boxes
-        ]
-        self._cmd: list[queue.SimpleQueue] = [
-            queue.SimpleQueue() for _ in self._workers
-        ]
-        self._out: queue.SimpleQueue = queue.SimpleQueue()
-        self._threads = [
-            threading.Thread(
-                target=self._loop, args=(i,), daemon=True,
-                name=f"shard-worker-{i}",
-            )
-            for i in range(len(self._workers))
-        ]
-
-    def _loop(self, i: int) -> None:
-        while True:
-            cmd = self._cmd[i].get()
-            if cmd is None:
-                return
-            name, scalar = cmd
-            try:
-                self._out.put((i, "ok", self._workers[i].round(name, scalar)))
-            except BaseException as exc:  # surfaced by the coordinator
-                self._out.put((i, "err", exc))
-
-    def start(self) -> None:
-        for t in self._threads:
-            t.start()
-        self.round("stage")
-
-    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        for q in self._cmd:
-            q.put((name, scalar))
-        results: list[float | None] = [None] * len(self._workers)
-        error: BaseException | None = None
-        for _ in self._workers:
-            i, status, payload = self._out.get()
-            if status == "err":
-                error = error or payload
-            else:
-                results[i] = payload
-        if error is not None:
-            raise error
-        return results
-
-    def board(self) -> np.ndarray:
-        """See :meth:`SerialCrew.board` (queue hand-offs order the
-        coordinator's board writes against the workers' reads)."""
-        return self._result
-
-    def gather(self) -> np.ndarray:
-        self.round("gather")
-        return self._result.copy()
-
-    def close(self) -> None:
-        for q in self._cmd:
-            q.put(None)
-        for t in self._threads:
-            if t.is_alive():
-                t.join(timeout=5.0)
-
-
-def _shared_array(ctx, shape, dtype: np.dtype):
-    """An anonymous shared-memory ndarray (inherited, never named —
-    nothing to unlink, nothing to orphan)."""
-    n = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-    raw = ctx.RawArray("b", max(n, 1))
-    return raw, (tuple(int(v) for v in shape), dtype.str)
-
-
-def _view(raw, meta) -> np.ndarray:
-    shape, dtype_str = meta
-    return np.frombuffer(raw, dtype=np.dtype(dtype_str)).reshape(shape)
-
-
-def _process_main(conn, arrays_shm, box, neighbors, outbox_shm, result_shm, params):
-    """Child entry point: rebuild shared views, then serve rounds."""
-    try:
-        arrays = {k: _view(raw, meta) for k, (raw, meta) in arrays_shm.items()}
-        outboxes = [
-            {d: _view(raw, meta) for d, (raw, meta) in planes.items()}
-            for planes in outbox_shm
-        ]
-        result = _view(*result_shm)
-        worker = ShardWorker(arrays, box, neighbors, outboxes, result, params)
-        conn.send(("ready", None))
-    except BaseException:
-        conn.send(("err", traceback.format_exc()))
-        return
-    while True:
-        msg = conn.recv()
-        if msg is None:
-            return
-        name, scalar = msg
-        try:
-            conn.send(("ok", worker.round(name, scalar)))
-        except BaseException:
-            conn.send(("err", traceback.format_exc()))
-
-
-class ProcessCrew:
-    """One spawned process per shard over anonymous shared memory."""
-
-    mode = "process"
-
-    def __init__(self, layout, arrays, params, nz, dtype):
-        dtype = np.dtype(dtype)
-        ctx = mp.get_context("spawn")
-        # Stage every global array into shared memory (children slice
-        # out their shards at construction).
-        arrays_shm = {}
-        for key, arr in arrays.items():
-            raw, meta = _shared_array(ctx, arr.shape, arr.dtype)
-            _view(raw, meta)[...] = arr
-            arrays_shm[key] = (raw, meta)
-        outbox_shm = []
-
-        def make_shm(shape, dt):
-            return _shared_array(ctx, shape, np.dtype(dt))
-
-        for box in layout.boxes:
-            planes = {}
-            for direction, _, _ in DIRECTIONS:
-                if layout.neighbor_index(box, direction) is not None:
-                    extent = box.ny if direction in ("west", "east") else box.nx
-                    planes[direction] = make_shm((extent, nz), dtype)
-            outbox_shm.append(planes)
-        self._result_shm = _shared_array(ctx, (layout.nx, layout.ny, nz), dtype)
-        self._procs = []
-        self._conns = []
-        for box in layout.boxes:
-            parent, child = ctx.Pipe()
-            proc = ctx.Process(
-                target=_process_main,
-                args=(
-                    child, arrays_shm, box, layout.neighbors(box),
-                    outbox_shm, self._result_shm, params,
-                ),
-                daemon=True,
-                name=f"shard-worker-{box.index}",
-            )
-            self._procs.append(proc)
-            self._conns.append(parent)
-
-    def start(self) -> None:
-        for proc in self._procs:
-            proc.start()
-        for conn in self._conns:
-            status, payload = conn.recv()
-            if status == "err":
-                self.close()
-                raise ConfigurationError(
-                    f"shard worker failed to start:\n{payload}"
-                )
-        self.round("stage")
-
-    def round(self, name: str, scalar: float | None = None) -> list[float | None]:
-        for conn in self._conns:
-            conn.send((name, scalar))
-        results: list[float | None] = [None] * len(self._conns)
-        error: str | None = None
-        for i, conn in enumerate(self._conns):
-            status, payload = conn.recv()
-            if status == "err":
-                error = error or payload
-            else:
-                results[i] = payload
-        if error is not None:
-            raise RuntimeError(
-                f"shard worker round {name!r} failed:\n{error}"
-            )
-        return results
-
-    def board(self) -> np.ndarray:
-        """See :meth:`SerialCrew.board` (the shared-memory view; pipe
-        messages order writes against the children's reads)."""
-        return _view(*self._result_shm)
-
-    def gather(self) -> np.ndarray:
-        self.round("gather")
-        return _view(*self._result_shm).copy()
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.send(None)
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.join(timeout=5.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for conn in self._conns:
-            conn.close()
-
-
-_CREWS = {"serial": SerialCrew, "thread": ThreadCrew, "process": ProcessCrew}
-
-
-def create_crew(mode: str, layout, arrays, params, nz, dtype):
-    if mode not in _CREWS:
-        raise ConfigurationError(
-            f"unknown shard worker mode {mode!r}; choose one of "
-            f"{', '.join(CREW_MODES)}"
-        )
-    return _CREWS[mode](layout, arrays, params, nz, dtype)
-
-
-__all__ = [
-    "CREW_MODES",
-    "ProcessCrew",
-    "SerialCrew",
-    "ShardWorker",
-    "ThreadCrew",
-    "WorkerParams",
-    "create_crew",
-    "default_crew",
-]
+__all__ = ["ShardWorker"]

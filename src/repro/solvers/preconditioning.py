@@ -65,14 +65,14 @@ def linear_solver_for(
     problem: SinglePhaseProblem,
     preconditioner: str,
     *,
-    mg_levels: int | None = None,
-    mg_smoother_iters: int | None = None,
+    hierarchy=None,
 ):
     """The reference linear solver implementing ``preconditioner``.
 
     Returns a callable usable as ``newton_solve(..., linear_solver=...)``.
-    The mg knobs mirror the spec's ``mg_levels``/``mg_smoother_iters``
-    and are only meaningful with ``preconditioner="mg"``.
+    ``hierarchy`` is the multigrid hierarchy ``preconditioner="mg"``
+    runs on (the caller builds it from the spec's ``mg_levels``/
+    ``mg_smoother_iters``; a default one is built when omitted).
     """
     if preconditioner == "none":
         return conjugate_gradient
@@ -94,12 +94,8 @@ def linear_solver_for(
     if preconditioner == "mg":
         from repro.mg import hierarchy_for_problem, mg_preconditioned_cg
 
-        hierarchy = hierarchy_for_problem(
-            problem,
-            accumulation=None,
-            levels=mg_levels,
-            smoother_iters=mg_smoother_iters,
-        )
+        if hierarchy is None:
+            hierarchy = hierarchy_for_problem(problem)
 
         def _mg_cg(operator, b, x0=None, **options: Any) -> CGResult:
             _fold_rel_tol(operator, b, x0, options)

@@ -270,14 +270,24 @@ def test_hierarchy_is_freed_without_the_cycle_collector(monkeypatch):
             gc.enable()
 
 
-@pytest.mark.parametrize("engine", ["vectorized", "fused", "sharded", "event"])
+@pytest.mark.parametrize(
+    "engine", ["vectorized", "fused", "sharded", "event", "reference"]
+)
 def test_one_hierarchy_build_per_solve(engine, monkeypatch):
-    """Tolerance resolution and engine staging share one build."""
+    """Tolerance resolution and engine staging share one build; on the
+    reference backend, the linear solver and the telemetry do."""
     built = _record_builds(monkeypatch)
     size = 4 if engine == "event" else 10
     scenario = repro.scenario("lognormal_reservoir", nx=size, ny=size, nz=2, seed=2)
-    spec = repro.SolveSpec.from_kwargs(engine=engine, preconditioner="mg", rel_tol=1e-5)
-    repro.solve(scenario, backend="wse", spec=spec)
+    if engine == "reference":
+        spec = repro.SolveSpec.from_kwargs(preconditioner="mg", rel_tol=1e-5)
+        result = repro.solve(scenario, backend="reference", spec=spec)
+        assert result.telemetry["preconditioner"]["cycles"] > 0
+    else:
+        spec = repro.SolveSpec.from_kwargs(
+            engine=engine, preconditioner="mg", rel_tol=1e-5
+        )
+        repro.solve(scenario, backend="wse", spec=spec)
     assert len(built) == 1
 
 

@@ -1,14 +1,12 @@
-"""The sharded engine subsystem: layout geometry, crew parity, link
+"""The sharded engine subsystem: layout geometry, determinism, link
 accounting, multi-wafer projection, and the spec/backend plumbing.
 
 The parity *sweep* (event vs. vectorized vs. batched vs. sharded over
 random shapes and layouts) lives in ``tests/test_engine_fuzz.py``; this
-file pins the pieces: exact layout arithmetic, bitwise crew equivalence
-(serial == thread == process for a fixed layout), hand-checked link
-counters, orphan-free worker pools, and the ``MachineSpec`` round trip.
+file pins the pieces: exact layout arithmetic, bitwise repeatability
+for a fixed layout, hand-checked link counters, and the ``MachineSpec``
+round trip.
 """
-
-import multiprocessing as mp
 
 import numpy as np
 import pytest
@@ -20,7 +18,6 @@ from repro.core.solver import WseMatrixFreeSolver
 from repro.shard import (
     InterShardLinkModel,
     ShardLayout,
-    default_crew,
     normalize_shard_shape,
     project_multiwafer,
 )
@@ -88,48 +85,28 @@ class TestShardLayout:
                 normalize_shard_shape(bad)
 
 
-# -- crew parity --------------------------------------------------------------
+# -- determinism --------------------------------------------------------------
 
 
 class TestCrewParity:
-    def test_serial_thread_process_bitwise_equal(self):
-        """A fixed layout must produce bit-identical solves on every
-        worker pool: rounds are barriers and reductions fold in shard
-        order, so parallelism cannot reorder any float."""
+    def test_same_layout_solved_twice_bitwise_equal(self):
+        """A fixed layout must produce bit-identical solves every time:
+        shards run in order and reductions fold in shard order."""
         problem = make_problem(6, 5, 3, seed=9)
-        reports = {
-            workers: _solver(
-                problem, engine="sharded", shard_shape=(3, 2),
-                shard_workers=workers,
-            ).solve()
-            for workers in ("serial", "thread", "process")
-        }
-        base = reports["serial"]
-        for workers in ("thread", "process"):
-            rep = reports[workers]
-            np.testing.assert_array_equal(rep.pressure, base.pressure)
-            assert rep.iterations == base.iterations
-            assert rep.residual_history == base.residual_history
-            assert rep.counters.to_dict() == base.counters.to_dict()
-            assert rep.shard["links"] == base.shard["links"]
-
-    def test_no_orphaned_workers(self):
-        """Process crews must leave nothing behind — CI smokes this too
-        (``benchmarks/shard_smoke.py``)."""
-        problem = make_problem(4, 4, 2, seed=1)
-        _solver(
-            problem, engine="sharded", shard_shape=(2, 2),
-            shard_workers="process",
-        ).solve()
-        assert mp.active_children() == []
+        base, rep = (
+            _solver(problem, engine="sharded", shard_shape=(3, 2)).solve()
+            for _ in range(2)
+        )
+        np.testing.assert_array_equal(rep.pressure, base.pressure)
+        assert rep.iterations == base.iterations
+        assert rep.residual_history == base.residual_history
+        assert rep.counters.to_dict() == base.counters.to_dict()
+        assert rep.shard["links"] == base.shard["links"]
 
     def test_single_shard_matches_vectorized_bitwise(self):
         problem = make_problem(5, 4, 2, seed=3)
         vec = _solver(problem, engine="vectorized").solve()
-        sh = _solver(
-            problem, engine="sharded", shard_shape=(1, 1),
-            shard_workers="serial",
-        ).solve()
+        sh = _solver(problem, engine="sharded", shard_shape=(1, 1)).solve()
         np.testing.assert_array_equal(sh.pressure, vec.pressure)
         assert sh.iterations == vec.iterations
         assert sh.residual_history == vec.residual_history
@@ -137,11 +114,6 @@ class TestCrewParity:
         assert sh.trace.to_dict() == vec.trace.to_dict()
         assert sh.state_visits == vec.state_visits
         assert sh.memory == vec.memory
-
-    def test_unknown_worker_mode_rejected(self):
-        problem = make_problem(4, 4, 2)
-        with pytest.raises(ConfigurationError, match="serial, thread, process"):
-            _solver(problem, engine="sharded", shard_workers="gpu")
 
 
 # -- link accounting ----------------------------------------------------------
@@ -176,7 +148,7 @@ class TestLinkAccounting:
         problem = make_problem(6, 4, 2, seed=5)
         rep = _solver(
             problem, engine="sharded", shard_shape=(2, 1),
-            shard_workers="serial", rel_tol=None, fixed_iterations=4,
+            rel_tol=None, fixed_iterations=4,
         ).solve()
         links = rep.shard["links"]
         # One exchange at init plus one per iteration; the init round
@@ -258,11 +230,6 @@ class TestSpecPlumbing:
             ),
         )
         shard = result.telemetry["shard"]
-        # The engine default adapts to the host: threads only when the
-        # shards can actually sweep concurrently.
-        assert shard["workers"] == default_crew(
-            ShardLayout.build((2, 2), 6, 5)
-        )
         assert shard["layout"]["shards_x"] == 2
         assert shard["layout"]["shards_y"] == 2
         assert sum(shard["layout"]["columns_per_shard"]) == 6 * 5
