@@ -11,7 +11,7 @@ from repro.backends.base import SimulationResult, SolveResult, StepResult
 from repro.physics.darcy import SinglePhaseProblem
 from repro.physics.simulation import NewtonReport, newton_solve
 from repro.solvers.cg import PAPER_TOLERANCE_RTR, conjugate_gradient
-from repro.solvers.preconditioning import linear_solver_for, operator_diagonal
+from repro.solvers.preconditioning import preconditioner_for
 from repro.spec import SolveSpec, coerce_spec
 from repro.util.errors import ConfigurationError
 
@@ -23,9 +23,9 @@ class ReferenceBackend:
     :func:`repro.physics.simulation.newton_solve` (``rel_tol`` is the
     cross-backend spelling of the relative tolerance, forwarded as
     ``newton_rtol``), ``precision.dtype`` defaults to float64, and
-    ``preconditioner`` swaps the inner linear solver — ``"jacobi"`` for
-    the diagonally scaled CG, ``"mg"`` for the geometric-multigrid
-    PCG.  Machine knobs (fabric specs, SIMD widths,
+    ``preconditioner`` plugs ``"jacobi"`` (diagonal scaling) or ``"mg"``
+    (one geometric-multigrid V-cycle) into the host CG, steady and
+    transient alike.  Machine knobs (fabric specs, SIMD widths,
     block shapes) are rejected — there is no machine here.
     """
 
@@ -49,10 +49,24 @@ class ReferenceBackend:
             options.setdefault("newton_rtol", float(rel_tol))
         return newton_solve(problem, **options)
 
+    @staticmethod
+    def _hierarchy(problem: SinglePhaseProblem, spec: SolveSpec, accumulation=None):
+        """The multigrid hierarchy ``spec`` asks for (``None`` unless mg) —
+        one build serves the solve and its telemetry."""
+        if spec.preconditioner != "mg":
+            return None
+        from repro.mg import hierarchy_for_problem
+
+        return hierarchy_for_problem(
+            problem,
+            accumulation=accumulation,
+            levels=spec.mg_levels,
+            smoother_iters=spec.mg_smoother_iters,
+        )
+
     def _native_options(self, problem: SinglePhaseProblem, spec: SolveSpec):
         """The ``solve_native`` options for ``spec``, plus the multigrid
-        hierarchy the linear solver runs on (``None`` unless mg) — one
-        build serves the solve and its telemetry."""
+        hierarchy the preconditioner runs on (``None`` unless mg)."""
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
         options: dict[str, Any] = {
             "tol_rtr": (
@@ -66,20 +80,10 @@ class ReferenceBackend:
             options["newton_rtol"] = spec.tolerance.rel_tol
         if spec.tolerance.max_iters is not None:
             options["max_iters"] = spec.tolerance.max_iters
-        hierarchy = None
-        if spec.preconditioner == "mg":
-            from repro.mg import hierarchy_for_problem
-
-            hierarchy = hierarchy_for_problem(
-                problem,
-                accumulation=None,
-                levels=spec.mg_levels,
-                smoother_iters=spec.mg_smoother_iters,
-            )
-        if spec.preconditioner != "none":
-            options["linear_solver"] = linear_solver_for(
-                problem, spec.preconditioner, hierarchy=hierarchy
-            )
+        hierarchy = self._hierarchy(problem, spec)
+        options["precondition"] = preconditioner_for(
+            problem, spec.preconditioner, hierarchy=hierarchy, dtype=options["dtype"]
+        )
         return options, hierarchy
 
     def simulate(
@@ -94,11 +98,10 @@ class ReferenceBackend:
 
         Each step solves ``(J + A) p^{n+1} = A p^n + b_D`` with the host
         CG on the existing :class:`~repro.physics.transient.TransientOperator`
-        (Jacobi-scaled when the spec says so); warm starts carry the
+        (preconditioned as the spec says); warm starts carry the
         previous step's pressure into the next CG.
         """
         from repro.physics.transient import TransientOperator, TransientStepper
-        from repro.solvers.jacobi import jacobi_preconditioned_cg
 
         spec = coerce_spec(spec)
         spec.require_machine_support(self.name, self.SUPPORTED_MACHINE_FIELDS)
@@ -120,11 +123,6 @@ class ReferenceBackend:
             if spec.tolerance.max_iters is not None
             else 10_000
         )
-        jacobi = spec.preconditioner == "jacobi"
-        mg = spec.preconditioner == "mg"
-        if mg:
-            from repro.mg import hierarchy_for_problem, mg_preconditioned_cg
-
         times = tspec.times()
         # The reference works in one precision throughout (float64 by
         # default), so accumulation/rhs arithmetic stays in that dtype.
@@ -149,29 +147,24 @@ class ReferenceBackend:
             if rel_tol is not None:
                 r0 = rhs - operator(x0)
                 tol = max(tol, rel_tol**2 * float(np.vdot(r0, r0).real))
-            hier = None
-            if jacobi:
-                diagonal = operator_diagonal(problem, dtype=dtype) + acc
-                result = jacobi_preconditioned_cg(
-                    operator, diagonal, rhs, x0, tol_rtr=tol, max_iters=max_iters
-                )
-            elif mg:
-                # The step's hierarchy folds the backward-Euler diagonal
-                # into every level, preconditioning the actual (J + A)
-                # system being solved.
-                hier = hierarchy_for_problem(
+            # The step's Jacobi diagonal and multigrid hierarchy both fold
+            # in the backward-Euler accumulation, preconditioning the
+            # actual (J + A) system being solved.
+            hier = self._hierarchy(problem, spec, accumulation=acc)
+            result = conjugate_gradient(
+                operator,
+                rhs,
+                x0=x0,
+                tol_rtr=tol,
+                max_iters=max_iters,
+                precondition=preconditioner_for(
                     problem,
+                    spec.preconditioner,
                     accumulation=acc,
-                    levels=spec.mg_levels,
-                    smoother_iters=spec.mg_smoother_iters,
-                )
-                result = mg_preconditioned_cg(
-                    operator, hier, rhs, x0, tol_rtr=tol, max_iters=max_iters
-                )
-            else:
-                result = conjugate_gradient(
-                    operator, rhs, x0=x0, tol_rtr=tol, max_iters=max_iters
-                )
+                    hierarchy=hier,
+                    dtype=dtype,
+                ),
+            )
             p = result.x
             problem.dirichlet.apply_to(p)
             stepper.advance(p)

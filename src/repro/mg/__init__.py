@@ -9,8 +9,10 @@ fabric engine, with the V-cycle's per-level work charged analytically
   aggregation of the FV face coefficients);
 * :mod:`repro.mg.cycle` — the float64 V-cycle ``z = M⁻¹ r``;
 * :mod:`repro.mg.charges` — the per-V-cycle charge packet the engines
-  merge at every preconditioner application;
-* :mod:`repro.mg.pcg` — the reference-path MG-PCG driver.
+  merge at every preconditioner application.
+
+The reference path plugs the V-cycle into the host CG as
+``conjugate_gradient(..., precondition=preconditioner_for(problem, "mg"))``.
 """
 
 from repro.mg.charges import build_mg_packet, merge_mg_packet
@@ -28,7 +30,6 @@ from repro.mg.hierarchy import (
     prolong,
     restrict,
 )
-from repro.mg.pcg import mg_preconditioned_cg
 
 __all__ = [
     "DEFAULT_OMEGA",
@@ -42,7 +43,6 @@ __all__ = [
     "level_apply",
     "merge_mg_packet",
     "mg_apply",
-    "mg_preconditioned_cg",
     "planned_level_shapes",
     "prolong",
     "restrict",

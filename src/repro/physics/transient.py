@@ -253,14 +253,8 @@ def simulate_transient(
     for step in range(1, num_steps + 1):
         np.multiply(acc, p, out=rhs)
         rhs += b_dirichlet
-        r0 = rhs - operator(p)
-        rtr0 = float(np.vdot(r0, r0).real)
         result = conjugate_gradient(
-            operator,
-            rhs,
-            x0=p,
-            tol_rtr=max(rel_tol * rel_tol * rtr0, 1e-300),
-            max_iters=max_iters,
+            operator, rhs, x0=p, rel_tol=rel_tol, max_iters=max_iters
         )
         p = result.x
         problem.dirichlet.apply_to(p)

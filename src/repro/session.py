@@ -39,6 +39,7 @@ import pickle
 import shutil
 import threading
 import time
+import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
@@ -507,18 +508,24 @@ class ResultStore:
             )
         directory = self._steps_dir(fingerprint)
         directory.mkdir(parents=True, exist_ok=True)
-        tmp = directory / f".tmp-{step.step:05d}.npz"
-        np.savez_compressed(
-            tmp,
-            pressure=step.pressure,
-            residual_history=np.asarray(step.residual_history, dtype=np.float64),
-            iterations=np.int64(step.iterations),
-            converged=np.bool_(step.converged),
-            time=np.float64(step.time),
-            dt=np.float64(step.dt),
-            elapsed=np.float64(step.elapsed_seconds),
-        )
-        os.replace(tmp, self._step_path(fingerprint, step.step))
+        # A temp name per write: racing producers of the same step must
+        # not rename each other's half-written file away.
+        tmp = directory / f".tmp-{step.step:05d}-{uuid.uuid4().hex}.npz"
+        try:
+            np.savez_compressed(
+                tmp,
+                pressure=step.pressure,
+                residual_history=np.asarray(step.residual_history, dtype=np.float64),
+                iterations=np.int64(step.iterations),
+                converged=np.bool_(step.converged),
+                time=np.float64(step.time),
+                dt=np.float64(step.dt),
+                elapsed=np.float64(step.elapsed_seconds),
+            )
+            os.replace(tmp, self._step_path(fingerprint, step.step))
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         key = self._steps_key(fingerprint)
         with self._mutex:
             record = dict(self._manifest.get(key, {}))

@@ -1,19 +1,24 @@
 """Krylov solvers.
 
 * :func:`conjugate_gradient` — the reference implementation of the paper's
-  Algorithm 1 (plain CG, ``r^T r < ε`` convergence check, fp32-friendly).
+  Algorithm 1 (``r^T r < ε`` convergence check, fp32-friendly); the one
+  host CG loop, plain or preconditioned via ``precondition=``.
 * :class:`CGStateMachine` — the same algorithm expressed as the 14-state
   event-driven machine of §III-D; the dataflow implementation in
   ``repro.core.cg_dataflow`` drives the identical state graph.
 * :func:`scipy_cg_baseline` — independent cross-check via scipy.
-* Optional Jacobi (diagonal) scaling as the documented extension.
+* :func:`preconditioner_for` — the spec's ``"jacobi"``/``"mg"``
+  preconditioner as a ``precondition`` callable.
 """
 
 from repro.solvers.cg import CGResult, conjugate_gradient
 from repro.solvers.state_machine import CGState, CGStateMachine, CG_NUM_STATES
 from repro.solvers.baseline import scipy_cg_baseline, dense_direct_solve
-from repro.solvers.jacobi import jacobi_preconditioned_cg
-from repro.solvers.preconditioning import linear_solver_for, operator_diagonal
+from repro.solvers.preconditioning import (
+    jacobi_preconditioner,
+    operator_diagonal,
+    preconditioner_for,
+)
 
 __all__ = [
     "CGResult",
@@ -23,7 +28,7 @@ __all__ = [
     "CG_NUM_STATES",
     "scipy_cg_baseline",
     "dense_direct_solve",
-    "jacobi_preconditioned_cg",
-    "linear_solver_for",
+    "jacobi_preconditioner",
     "operator_diagonal",
+    "preconditioner_for",
 ]

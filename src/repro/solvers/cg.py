@@ -4,7 +4,9 @@ The paper's pseudo-code (in its notation: ``x`` is the *search direction*,
 ``y`` the solution iterate) is standard CG with the convergence check
 ``r^T r < ε`` — an absolute tolerance on the *squared* residual norm; the
 evaluation uses ``ε = 2e-10``.  We keep that convention (exposed as
-``tol_rtr``) and also offer a relative variant for convenience.
+``tol_rtr``) and also offer a relative variant for convenience.  The
+Jacobi and multigrid extensions plug in as ``precondition`` (``z = M⁻¹ r``);
+the recurrence itself exists once.
 
 All vector math is done in NumPy with in-place updates (no per-iteration
 allocations), following the HPC guide idioms.
@@ -63,6 +65,7 @@ def conjugate_gradient(
     max_iters: int = 10_000,
     callback: Callable[[int, float], None] | None = None,
     raise_on_fail: bool = False,
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> CGResult:
     """Solve ``A x = b`` for SPD ``A`` given as a callable.
 
@@ -80,7 +83,8 @@ def conjugate_gradient(
     tol_rtr:
         Absolute tolerance on ``r^T r`` (paper semantics).
     rel_tol:
-        If given, converge when ``r^T r <= rel_tol**2 * (r0^T r0)`` instead.
+        If given, converge when ``r^T r < rel_tol**2 * (r0^T r0)`` instead
+        (an exact start, ``r0 = 0``, converges at once).
     max_iters:
         Iteration cap (line 4 of Algorithm 1).
     callback:
@@ -88,6 +92,11 @@ def conjugate_gradient(
     raise_on_fail:
         Raise :class:`ConvergenceError` instead of returning a
         non-converged result.
+    precondition:
+        ``z = M⁻¹ r`` in ``r``'s dtype (see
+        :func:`repro.solvers.preconditioning.preconditioner_for`).
+        Convergence is still checked on the unpreconditioned ``r^T r``;
+        ``None`` runs plain CG (``z`` is ``r``, no extra dot product).
     """
     b = np.asarray(b)
     if x0 is None:
@@ -105,11 +114,16 @@ def conjugate_gradient(
     rtr = float(np.vdot(r, r).real)
     history = [rtr]
     threshold = rtr * rel_tol * rel_tol if rel_tol is not None else tol_rtr
+    if precondition is None:
+        z, rz = r, rtr  # r is updated in place, so z tracks it
+    else:
+        z = precondition(r)
+        rz = float(np.vdot(r, z).real)
 
-    if rtr < threshold:
+    if rtr < threshold or rtr == 0.0:
         return CGResult(x, 0, True, history)
 
-    p = r.copy()  # search direction (the paper's "x")
+    p = z.copy()  # search direction (the paper's "x")
     Ap = np.empty_like(b)
     k = 0
     converged = False
@@ -124,21 +138,26 @@ def conjugate_gradient(
                 iterations=k,
                 residual_norm=rtr,
             )
-        alpha = rtr / pap
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * Ap
-        rtr_new = float(np.vdot(r, r).real)
-        history.append(rtr_new)
+        rtr = float(np.vdot(r, r).real)
+        history.append(rtr)
         k += 1
         if callback is not None:
-            callback(k, rtr_new)
-        if rtr_new < threshold:
+            callback(k, rtr)
+        if rtr < threshold:
             converged = True
             break
-        beta = rtr_new / rtr
+        if precondition is None:
+            rz_new = rtr
+        else:
+            z = precondition(r)
+            rz_new = float(np.vdot(r, z).real)
+        beta = rz_new / rz
         p *= beta
-        p += r
-        rtr = rtr_new
+        p += z
+        rz = rz_new
 
     if not converged and raise_on_fail:
         raise ConvergenceError(

@@ -205,26 +205,30 @@ class TestPreconditionerSpec:
         assert jac.converged
 
     def test_jacobi_solver_honours_rel_tol(self):
-        """Regression: ``linear_solver_for``'s jacobi closure used to
-        ``pop`` ``rel_tol`` and discard it, so the preconditioned path
-        silently fell back to the default absolute tolerance while plain
-        CG and the fabric engines honoured the knob."""
+        """Regression: the Jacobi-preconditioned solve once discarded
+        ``rel_tol``, so it silently fell back to the default absolute
+        tolerance while plain CG and the fabric engines honoured the
+        knob.  The preconditioned solve is now the same CG loop."""
         from repro.fv.residual import compute_residual
         from repro.solvers.cg import conjugate_gradient
-        from repro.solvers.preconditioning import linear_solver_for
+        from repro.solvers.preconditioning import preconditioner_for
 
         problem = make_problem(8, 7, 3, seed=23)
         operator = problem.operator()
         p0 = problem.initial_pressure(dtype=np.float64)
         rhs = -compute_residual(problem.coefficients, problem.dirichlet, p0)
-        solver = linear_solver_for(problem, "jacobi")
-        loose = solver(operator, rhs, rel_tol=1e-3, max_iters=2000)
-        tight = solver(operator, rhs, rel_tol=1e-10, max_iters=2000)
+        jacobi = preconditioner_for(problem, "jacobi")
+        loose = conjugate_gradient(
+            operator, rhs, rel_tol=1e-3, max_iters=2000, precondition=jacobi
+        )
+        tight = conjugate_gradient(
+            operator, rhs, rel_tol=1e-10, max_iters=2000, precondition=jacobi
+        )
         assert loose.converged and tight.converged
-        # Dropping the knob made both runs identical; resolving it must
+        # Dropping the knob made both runs identical; honouring it must
         # let the loose request stop earlier.
         assert loose.iterations < tight.iterations
-        # ...and the resolved threshold matches plain CG's native rel_tol.
+        # ...and the tight solve lands on plain CG's answer.
         plain = conjugate_gradient(operator, rhs, rel_tol=1e-10, max_iters=2000)
         np.testing.assert_allclose(tight.x, plain.x, atol=1e-6)
 

@@ -19,13 +19,13 @@ from repro.mg import (
     hierarchy_for_problem,
     level_apply,
     mg_apply,
-    mg_preconditioned_cg,
     planned_level_shapes,
     prolong,
     restrict,
 )
 from repro.mg.cycle import _smooth
 from repro.solvers.cg import conjugate_gradient
+from repro.solvers.preconditioning import preconditioner_for
 from repro.spec import SolveSpec
 from repro.util.errors import ConfigurationError
 
@@ -238,7 +238,13 @@ class TestVCycle:
         hier = hierarchy_for_problem(problem)
         tol = 1e-10 * float(np.vdot(b, b).real)
         plain = conjugate_gradient(op, b, tol_rtr=tol, max_iters=5000)
-        mg = mg_preconditioned_cg(op, hier, b, tol_rtr=tol, max_iters=5000)
+        mg = conjugate_gradient(
+            op,
+            b,
+            tol_rtr=tol,
+            max_iters=5000,
+            precondition=preconditioner_for(problem, "mg", hierarchy=hier),
+        )
         assert plain.converged and mg.converged
         assert mg.iterations * 5 <= plain.iterations
         # f32 operator arithmetic floors how closely the two agree.
@@ -288,7 +294,5 @@ class TestSpecKnobs:
     def test_unknown_preconditioner_rejected(self):
         with pytest.raises(ConfigurationError, match="preconditioner"):
             SolveSpec.from_kwargs(preconditioner="ilu")
-        from repro.solvers.preconditioning import linear_solver_for
-
         with pytest.raises(ConfigurationError, match="ilu"):
-            linear_solver_for(make_problem(3, 3, 2, seed=1), "ilu")
+            preconditioner_for(make_problem(3, 3, 2, seed=1), "ilu")

@@ -435,6 +435,55 @@ class TestStoreResume:
             resumed.final_pressure, complete.final_pressure
         )
 
+    def test_racing_appends_of_one_step_both_land(
+        self, problem, tmp_path, monkeypatch
+    ):
+        """Two producers of one fingerprint (an abandoned stream and its
+        resumed successor) may append the same step concurrently.  Force
+        the interleaving: the second store writes and renames step 1
+        between the first store's ``savez`` and its rename.  With a shared
+        temp name the first rename found its file gone
+        (``FileNotFoundError``); each write now owns its temp file."""
+        import repro.session
+
+        first, second = repro.ResultStore(tmp_path), repro.ResultStore(tmp_path)
+        step = repro.simulate(problem, n_steps=1, dt=1.0).steps[0]
+        real_replace = repro.session.os.replace
+        raced = []
+
+        def replace(src, dst):
+            if ".tmp-" in str(src) and not raced:
+                raced.append(src)
+                second.save_simulation_step("abc123", step)
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(repro.session.os, "replace", replace)
+        first.save_simulation_step("abc123", step)
+        assert raced
+        for store in (first, second, repro.ResultStore(tmp_path)):
+            assert store.simulation_steps_completed("abc123") == 1
+            (loaded,) = store.load_simulation_steps("abc123")
+            np.testing.assert_array_equal(loaded.pressure, step.pressure)
+        # No temp file is left behind by either writer.
+        assert sorted(p.name for p in (tmp_path / "abc123.steps").iterdir()) == [
+            "00001.npz"
+        ]
+
+    def test_failed_append_leaves_no_temp_file(self, problem, tmp_path, monkeypatch):
+        import repro.session
+
+        store = repro.ResultStore(tmp_path)
+        step = repro.simulate(problem, n_steps=1, dt=1.0).steps[0]
+
+        def replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(repro.session.os, "replace", replace)
+        with pytest.raises(OSError, match="disk full"):
+            store.save_simulation_step("abc123", step)
+        assert list((tmp_path / "abc123.steps").iterdir()) == []
+        assert store.simulation_steps_completed("abc123") == 0
+
     def test_ordered_append_is_enforced(self, problem, tmp_path):
         store = repro.ResultStore(tmp_path)
         sim = repro.simulate(problem, n_steps=2, dt=1.0)

@@ -15,7 +15,7 @@ from repro.fv.assembly import assemble_jacobian
 from repro.fv.operator import MatrixFreeOperator
 from repro.solvers.baseline import dense_direct_solve, scipy_cg_baseline
 from repro.solvers.cg import CGResult, conjugate_gradient
-from repro.solvers.jacobi import jacobi_preconditioned_cg
+from repro.solvers.preconditioning import jacobi_preconditioner
 from repro.solvers.state_machine import (
     CG_NUM_STATES,
     CG_TRANSITIONS,
@@ -58,10 +58,23 @@ class TestConjugateGradient:
         np.testing.assert_allclose(result.x, b)
 
     def test_zero_rhs_converges_immediately(self):
-        result = conjugate_gradient(lambda v: 2 * v, np.zeros(5))
-        assert result.converged
-        assert result.iterations == 0
-        np.testing.assert_array_equal(result.x, 0.0)
+        # r0 = 0 is converged whatever the mode: a relative threshold of
+        # rel_tol² · 0 must not send CG into a p^T A p = 0 breakdown.
+        for options in (
+            {},
+            {"rel_tol": 1e-6},
+            {"precondition": jacobi_preconditioner(np.full(5, 2.0))},
+            {"rel_tol": 1e-6, "precondition": jacobi_preconditioner(np.full(5, 2.0))},
+        ):
+            result = conjugate_gradient(lambda v: 2 * v, np.zeros(5), **options)
+            assert result.converged, options
+            assert result.iterations == 0
+            np.testing.assert_array_equal(result.x, 0.0)
+        # ...and so is an x0 that solves the system exactly.
+        b = np.arange(1.0, 6.0)
+        result = conjugate_gradient(lambda v: 2 * v, b, x0=b / 2, rel_tol=1e-6)
+        assert result.converged and result.iterations == 0
+        np.testing.assert_array_equal(result.x, b / 2)
 
     def test_initial_guess_exact(self):
         A, b = _spd_system(seed=5)
@@ -73,6 +86,13 @@ class TestConjugateGradient:
     def test_x0_shape_mismatch(self):
         with pytest.raises(ValidationError):
             conjugate_gradient(lambda v: v, np.zeros(4), x0=np.zeros(3))
+        with pytest.raises(ValidationError, match="x0 shape"):
+            conjugate_gradient(
+                lambda v: v,
+                np.zeros(4),
+                x0=np.zeros(3),
+                precondition=jacobi_preconditioner(np.ones(4)),
+            )
 
     def test_residual_history_monotone_for_spd(self):
         """For SPD systems the recursive r^T r need not be monotone, but the
@@ -241,7 +261,9 @@ class TestJacobiPCG:
         A, b = _spd_system(seed=13)
         diag = np.diag(A).copy()
         plain = conjugate_gradient(lambda v: A @ v, b, tol_rtr=1e-20)
-        pcg = jacobi_preconditioned_cg(lambda v: A @ v, diag, b, tol_rtr=1e-20)
+        pcg = conjugate_gradient(
+            lambda v: A @ v, b, tol_rtr=1e-20, precondition=jacobi_preconditioner(diag)
+        )
         assert pcg.converged
         np.testing.assert_allclose(pcg.x, plain.x, rtol=1e-6)
 
@@ -255,22 +277,29 @@ class TestJacobiPCG:
         A = np.diag(scales) @ A @ np.diag(scales)  # badly scaled
         b = rng.standard_normal(n)
         plain = conjugate_gradient(lambda v: A @ v, b, rel_tol=1e-10, max_iters=4000)
-        pcg = jacobi_preconditioned_cg(
-            lambda v: A @ v, np.diag(A).copy(), b, tol_rtr=plain.final_rtr
+        pcg = conjugate_gradient(
+            lambda v: A @ v,
+            b,
+            tol_rtr=plain.final_rtr,
+            precondition=jacobi_preconditioner(np.diag(A).copy()),
         )
         assert pcg.converged
         assert pcg.iterations < plain.iterations
 
     def test_rejects_nonpositive_diagonal(self):
-        with pytest.raises(ValidationError):
-            jacobi_preconditioned_cg(lambda v: v, np.zeros(3), np.ones(3))
+        with pytest.raises(ValidationError, match="positive"):
+            jacobi_preconditioner(np.zeros(3))
 
     def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            jacobi_preconditioned_cg(lambda v: v, np.ones(4), np.ones(3))
+        with pytest.raises(ValidationError, match="diagonal shape"):
+            conjugate_gradient(
+                lambda v: v, np.ones(3), precondition=jacobi_preconditioner(np.ones(4))
+            )
 
     def test_zero_rhs(self):
-        result = jacobi_preconditioned_cg(lambda v: v, np.ones(3), np.zeros(3))
+        result = conjugate_gradient(
+            lambda v: v, np.zeros(3), precondition=jacobi_preconditioner(np.ones(3))
+        )
         assert result.converged and result.iterations == 0
 
 
