@@ -12,16 +12,18 @@ asserts the operational invariants:
   the unpreconditioned run in ≥ 5× fewer iterations (the paper-facing
   scale proof the ``precond_iterations`` bench rows record);
 * **engine parity** — one fixed-iteration MG program run on the event,
-  vectorized, sharded and fused engines produces exactly equal
+  vectorized, sharded and fused engines, at float32 and at float64 (the
+  V-cycle runs at the solve's precision), produces exactly equal
   counters, fabric trace, memory report and per-state visit counts
   (event idle cycles excepted — the oracle's idle bookkeeping is
   per-PE), with pressures within fp round-off: the V-cycle is charged
   through the same packet builders everywhere, so preconditioning must
   not unpin a single count;
 * **telemetry shape** — every MG run surfaces the structured
-  ``preconditioner={kind, levels, smoother_iters, omega, cycles,
+  ``preconditioner={kind, levels, smoother_iters, omega, cycles, dtype,
   coarse_solve}`` record, with ``cycles == iterations + 1`` (one
-  V-cycle seeds the solve, one per iteration);
+  V-cycle seeds the solve, one per iteration) and ``dtype`` the solve's
+  working precision;
 * **cross-backend agreement** — the reference solver's MG path and the
   fabric engine's agree on the pressure field.
 
@@ -48,7 +50,7 @@ GRID = dict(nx=10, ny=10, nz=3)
 MIN_REDUCTION = 5.0
 
 
-def _telemetry_ok(tele, iterations, failures, label):
+def _telemetry_ok(tele, iterations, failures, label, dtype):
     if not isinstance(tele, dict) or tele.get("kind") != "mg":
         failures.append(f"{label}: preconditioner telemetry not an mg "
                         f"record: {tele!r}")
@@ -65,34 +67,16 @@ def _telemetry_ok(tele, iterations, failures, label):
                         f"{tele.get('coarse_solve')!r}")
     if not isinstance(tele.get("smoother_iters"), int):
         failures.append(f"{label}: smoother_iters missing")
+    if tele.get("dtype") != np.dtype(dtype).name:
+        failures.append(f"{label}: V-cycle dtype {tele.get('dtype')!r} is "
+                        f"not the solve's {np.dtype(dtype).name}")
 
 
-def main() -> int:
-    problem = repro.scenario("lognormal_reservoir", **GRID).build()
-    failures: list[str] = []
-
-    # -- iteration reduction at equal residual ---------------------------
-    solve = dict(spec=SPEC, dtype=np.float32, rel_tol=1e-5, max_iters=20_000,
-                 engine="vectorized")
-    none = WseMatrixFreeSolver(problem, **solve).solve()
-    mg = WseMatrixFreeSolver(problem, preconditioner="mg", **solve).solve()
-    if not (none.converged and mg.converged):
-        failures.append(f"convergence lost: none={none.converged} "
-                        f"mg={mg.converged}")
-    reduction = none.iterations / max(1, mg.iterations)
-    if reduction < MIN_REDUCTION:
-        failures.append(f"iteration reduction {reduction:.2f}x below the "
-                        f"{MIN_REDUCTION}x floor "
-                        f"({none.iterations} -> {mg.iterations})")
-    if not np.allclose(mg.pressure, none.pressure, rtol=1e-4, atol=1e-6):
-        failures.append("mg pressure drifts from the unpreconditioned solve")
-    _telemetry_ok(mg.preconditioner, mg.iterations, failures, "vectorized")
-    print(f"mg_smoke: lognormal[{GRID['nx']}x{GRID['ny']}x{GRID['nz']}] "
-          f"none={none.iterations} mg={mg.iterations} iters "
-          f"({reduction:.1f}x reduction, floor {MIN_REDUCTION:.0f}x)")
-
-    # -- engine parity on one fixed-iteration MG program -----------------
-    pinned = dict(spec=SPEC, dtype=np.float32, rel_tol=None,
+def _engine_parity(problem, dtype, failures) -> None:
+    """One fixed-iteration MG program on all four engines at ``dtype``,
+    each checked against the vectorized oracle."""
+    name = np.dtype(dtype).name
+    pinned = dict(spec=SPEC, dtype=dtype, rel_tol=None,
                   fixed_iterations=6, preconditioner="mg")
     runs = {
         engine: WseMatrixFreeSolver(problem, engine=engine, **pinned).solve()
@@ -101,6 +85,8 @@ def main() -> int:
     oracle = runs["vectorized"]
     parity = {}
     for engine, report in runs.items():
+        _telemetry_ok(report.preconditioner, report.iterations, failures,
+                      f"{engine} {name}", dtype)
         if engine == "vectorized":
             continue
         counters = report.counters.to_dict()
@@ -129,13 +115,41 @@ def main() -> int:
         )
         parity[engine] = ok
         if not ok:
-            failures.append(f"{engine} engine breaks mg parity with the "
-                            f"vectorized oracle")
-        _telemetry_ok(report.preconditioner, report.iterations, failures,
-                      engine)
-    print(f"mg_smoke: parity vs vectorized oracle: " + ", ".join(
+            failures.append(f"{engine} engine breaks {name} mg parity with "
+                            f"the vectorized oracle")
+    print(f"mg_smoke: {name} parity vs vectorized oracle: " + ", ".join(
         f"{engine}={'ok' if ok else 'BROKEN'}"
         for engine, ok in sorted(parity.items())))
+
+
+def main() -> int:
+    problem = repro.scenario("lognormal_reservoir", **GRID).build()
+    failures: list[str] = []
+
+    # -- iteration reduction at equal residual ---------------------------
+    solve = dict(spec=SPEC, dtype=np.float32, rel_tol=1e-5, max_iters=20_000,
+                 engine="vectorized")
+    none = WseMatrixFreeSolver(problem, **solve).solve()
+    mg = WseMatrixFreeSolver(problem, preconditioner="mg", **solve).solve()
+    if not (none.converged and mg.converged):
+        failures.append(f"convergence lost: none={none.converged} "
+                        f"mg={mg.converged}")
+    reduction = none.iterations / max(1, mg.iterations)
+    if reduction < MIN_REDUCTION:
+        failures.append(f"iteration reduction {reduction:.2f}x below the "
+                        f"{MIN_REDUCTION}x floor "
+                        f"({none.iterations} -> {mg.iterations})")
+    if not np.allclose(mg.pressure, none.pressure, rtol=1e-4, atol=1e-6):
+        failures.append("mg pressure drifts from the unpreconditioned solve")
+    _telemetry_ok(mg.preconditioner, mg.iterations, failures, "vectorized",
+                  np.float32)
+    print(f"mg_smoke: lognormal[{GRID['nx']}x{GRID['ny']}x{GRID['nz']}] "
+          f"none={none.iterations} mg={mg.iterations} iters "
+          f"({reduction:.1f}x reduction, floor {MIN_REDUCTION:.0f}x)")
+
+    # -- engine parity on one fixed-iteration MG program, per precision --
+    for dtype in (np.float32, np.float64):
+        _engine_parity(problem, dtype, failures)
 
     # -- front door + cross-backend agreement ----------------------------
     wse = repro.solve(
@@ -150,7 +164,7 @@ def main() -> int:
         spec=repro.SolveSpec.from_kwargs(preconditioner="mg"),
     )
     _telemetry_ok(wse.telemetry.get("preconditioner"), wse.iterations,
-                  failures, "wse front door")
+                  failures, "wse front door", np.float64)
     if not isinstance(ref.telemetry.get("preconditioner"), dict):
         failures.append("reference backend telemetry lost the mg record")
     if not np.allclose(wse.pressure, ref.pressure, atol=1e-5):
@@ -162,7 +176,7 @@ def main() -> int:
             print(f"mg_smoke: FAIL {line}")
         return 1
     print(f"mg_smoke: PASS ({reduction:.1f}x iteration reduction, 4-engine "
-          f"parity, telemetry shape verified)")
+          f"parity at float32 and float64, telemetry shape verified)")
     return 0
 
 

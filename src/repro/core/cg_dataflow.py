@@ -149,7 +149,7 @@ class DataflowCG:
 
     def _mg_submit(self, pe: ProcessingElement, cont: Callable[[], None]) -> None:
         """Park ``pe`` at the V-cycle barrier; the last arrival runs the
-        (host-assisted, float64) V-cycle over the gathered residual and
+        (host-assisted, working-dtype) V-cycle over the gathered residual and
         resumes every PE with its ``z`` column written back.
 
         The numerical work happens host-side — like tolerance resolution,
@@ -169,7 +169,7 @@ class DataflowCG:
         r = np.zeros((self.fabric.width, self.fabric.height, nz), dtype=np.float64)
         for peer, _ in waiting:
             r[peer.x, peer.y, :] = peer.host_read("r")
-        z = mg_apply(self.mg_hierarchy, r).astype(self.fabric.dtype)
+        z = mg_apply(self.mg_hierarchy, r).astype(self.fabric.dtype, copy=False)
         self.mg_applies += 1
         now = self.fabric.now
         for peer, peer_cont in waiting:

@@ -110,6 +110,7 @@ class EventEngine:
                     accumulation=accumulation,
                     levels=program.mg_levels,
                     smoother_iters=program.mg_smoother_iters,
+                    dtype=self.fabric.dtype,
                 )
             self.mg_hierarchy = mg_hierarchy
             # The V-cycle's fabric cost is charged from the same analytic

@@ -43,9 +43,11 @@ def solve_hierarchy(
     accumulation: np.ndarray | None = None,
     mg_levels: int | None = None,
     mg_smoother_iters: int | None = None,
+    dtype=np.float64,
 ):
     """The one V-cycle hierarchy of a solve (``None`` unless the
-    canonical ``preconditioner`` is ``"mg"``).
+    canonical ``preconditioner`` is ``"mg"``), in the solve's working
+    ``dtype``.
 
     Built once and shared by tolerance resolution and engine staging,
     which would otherwise each build the same hierarchy.
@@ -59,6 +61,7 @@ def solve_hierarchy(
         accumulation=accumulation,
         levels=mg_levels,
         smoother_iters=mg_smoother_iters,
+        dtype=dtype,
     )
 
 
@@ -215,6 +218,7 @@ class WseMatrixFreeSolver:
             accumulation=accumulation,
             mg_levels=mg_levels,
             mg_smoother_iters=mg_smoother_iters,
+            dtype=self.dtype,
         )
         self.program = CgProgram(
             variant=variant,
@@ -346,6 +350,7 @@ def solve_batch(
                 accumulation=acc,
                 mg_levels=mg_levels,
                 mg_smoother_iters=mg_smoother_iters,
+                dtype=dtype,
             )
             for problem, acc in zip(chunk, chunk_accs)
         ]
@@ -470,6 +475,7 @@ def simulate_reports(
             accumulation=acc,
             mg_levels=mg_levels,
             mg_smoother_iters=mg_smoother_iters,
+            dtype=np_dtype,
         )
         tol = resolve_tolerance(
             problem,

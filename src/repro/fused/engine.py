@@ -82,7 +82,7 @@ class TiledSweep:
         from repro.mg import mg_apply
 
         st = self.stagings[lane]
-        st.z[...] = mg_apply(st.mg_hier, st.r).astype(self.dtype)
+        st.z[...] = mg_apply(st.mg_hier, st.r)
 
     def init(self) -> list[float]:
         out = []

@@ -7,7 +7,8 @@ fabric engine, with the V-cycle's per-level work charged analytically
 
 * :mod:`repro.mg.hierarchy` — level construction (lateral 2×2 Galerkin
   aggregation of the FV face coefficients);
-* :mod:`repro.mg.cycle` — the float64 V-cycle ``z = M⁻¹ r``;
+* :mod:`repro.mg.cycle` — the V-cycle ``z = M⁻¹ r``, run in the solve's
+  working dtype with a float64 coarsest solve;
 * :mod:`repro.mg.charges` — the per-V-cycle charge packet the engines
   merge at every preconditioner application.
 

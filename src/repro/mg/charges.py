@@ -1,10 +1,11 @@
 """Analytic charge packets for the multigrid V-cycle.
 
 The mg preconditioner is a *program-level* construct: every engine runs
-the identical float64 V-cycle (``repro.mg.cycle.mg_apply``) host-side,
-so what distinguishes engines is only *where* the charges land — and
-they must land identically, or the event/vectorized/sharded/fused
-parity pinning breaks.  This module builds ONE charge packet per
+the identical V-cycle (``repro.mg.cycle.mg_apply``, in the solve's
+working dtype with a float64 coarsest solve) host-side, so what
+distinguishes engines is only *where* the charges land — and they must
+land identically, or the event/vectorized/sharded/fused parity pinning
+breaks.  This module builds ONE charge packet per
 program (a throwaway ``_ChargeModel``-compatible object holding exactly
 one V-cycle's instruction counts, memory/fabric traffic and critical
 path) that every engine merges at every preconditioner application

@@ -6,11 +6,14 @@ around a variational coarse-grid correction, exact solve on the coarsest
 level), so ``M⁻¹`` is symmetric positive definite and the PCG recurrence
 stays a genuine CG.
 
-All arithmetic is float64, independent of the engine's working
-precision: every engine calls this exact function with the exact same
-hierarchy, so the resulting ``z`` column is bitwise identical across
-engines before the single cast into the working dtype — which is what
-keeps the event/vectorized/sharded/fused iterates in lockstep.
+The cycle runs in the hierarchy's dtype — the solve's working
+precision — except the coarsest dense solve, which is float64: its
+result is rounded back into the working dtype where it is added to the
+next finer level's ``z`` (or, for a one-level hierarchy, on return).
+Every engine calls this exact function with the exact same hierarchy,
+so the resulting ``z`` column is bitwise identical across engines —
+which is what keeps the event/vectorized/sharded/fused iterates in
+lockstep.
 
 Masked (Dirichlet) cells are kept exactly zero throughout: the input
 residual is zero there (the engine invariant), restriction zeroes coarse
@@ -66,6 +69,8 @@ def _smooth_from_zero(
 
 
 def _coarse_solve(hier: MgHierarchy, level: MgLevel, r: np.ndarray) -> np.ndarray:
+    """The coarsest correction: float64 from the dense inverse, the
+    level's dtype from the smoothing fallback."""
     if level.dense_inv is not None:
         z = (level.dense_inv @ r.reshape(-1)).reshape(level.shape)
         z[level.mask] = 0.0  # keep the zero-on-mask invariant exact
@@ -89,9 +94,9 @@ def _v_cycle(hier: MgHierarchy, index: int, r: np.ndarray) -> np.ndarray:
 
 
 def mg_apply(hier: MgHierarchy, r: np.ndarray) -> np.ndarray:
-    """One V-cycle applied to ``r``; float64 in, float64 out."""
-    r64 = np.asarray(r, dtype=np.float64)
-    return _v_cycle(hier, 0, r64)
+    """One V-cycle applied to ``r``, in and out at ``hier.dtype``."""
+    dtype = hier.dtype
+    return _v_cycle(hier, 0, np.asarray(r, dtype=dtype)).astype(dtype, copy=False)
 
 
 __all__ = ["mg_apply"]

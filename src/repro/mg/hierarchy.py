@@ -22,9 +22,17 @@ Restriction is the aggregate sum, prolongation its exact adjoint
 aggregate is masked, and residuals/corrections are kept exactly zero on
 masked cells — the invariant the engine operator relies on.
 
-Everything here is float64 regardless of the engine's working precision:
-the V-cycle is a host-assisted construct (like tolerance resolution) and
-must produce bitwise-identical ``z`` columns on every engine.
+**Precision.**  A hierarchy is built in one working dtype — the solve's
+(float32 or float64).  The Galerkin sums, the diagonals and their
+inverses are formed in float64 and each level is rounded once into that
+dtype as it is built, so no full float64 copy of the hierarchy is ever
+held.  The coarsest level's dense inverse stays float64: it is tiny
+next to the fine level, and an explicit inverse is where float32 would
+lose the most accuracy.  The V-cycle is a host-assisted construct (like
+tolerance resolution): every engine runs the one cycle on the one
+hierarchy, so ``z`` stays bitwise identical across engines at either
+precision.  A preconditioner only needs to be approximate; the outer CG
+keeps its own precision.
 
 **Flat-stride layout.**  In C order a cell's neighbours along x, y and
 z sit at the fixed flat strides ``ny·nz``, ``nz`` and ``1``.  Each
@@ -114,12 +122,12 @@ class MgLevel:
     """
 
     shape: tuple[int, int, int]
-    faces: tuple[np.ndarray, np.ndarray, np.ndarray]  # per axis, (n,) float64
-    acc: np.ndarray  # (nx, ny, nz) float64 accumulation diagonal
+    faces: tuple[np.ndarray, np.ndarray, np.ndarray]  # per axis, (n,)
+    acc: np.ndarray  # (nx, ny, nz) accumulation diagonal
     mask: np.ndarray  # (nx, ny, nz) bool — identity rows
-    diag: np.ndarray  # (nx, ny, nz) float64, 1.0 on masked rows
+    diag: np.ndarray  # (nx, ny, nz), 1.0 on masked rows
     inv_diag: np.ndarray  # 1 / diag
-    dense_inv: np.ndarray | None = None  # coarsest-level exact inverse
+    dense_inv: np.ndarray | None = None  # coarsest-level exact inverse, float64
     #: ``(stride, faces[axis][:n − stride])`` per axis with a face.
     couplings: tuple = field(init=False, repr=False)
     #: Flat indices of the masked (identity) rows.
@@ -137,8 +145,13 @@ class MgLevel:
             if extent > 1
         )
         self.masked = np.flatnonzero(self.mask)
-        self.work = np.empty(self.shape, dtype=np.float64)
-        self.prod = np.empty(n, dtype=np.float64)
+        self.work = np.empty(self.shape, dtype=self.dtype)
+        self.prod = np.empty(n, dtype=self.dtype)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The level's working dtype (its faces, diagonals and scratch)."""
+        return self.diag.dtype
 
     @property
     def cells(self) -> int:
@@ -204,11 +217,13 @@ def prolong(fine_level: MgLevel, zc: np.ndarray) -> np.ndarray:
     return zf
 
 
-def _level_from_parts(fx, fy, fz, acc, mask, shape) -> MgLevel:
+def _level_from_parts(fx, fy, fz, acc, mask, shape, dtype) -> MgLevel:
+    """A level from float64 ``(fx, fy, fz, acc, mask)``, stored in ``dtype``
+    (a no-op cast for float64)."""
     faces = []
     diag = np.zeros(shape, dtype=np.float64)
     for axis, f in enumerate((fx, fy, fz)):
-        padded = np.zeros(shape, dtype=np.float64)
+        padded = np.zeros(shape, dtype=dtype)
         lo = _lower(axis)
         padded[lo] = f
         faces.append(padded.reshape(-1))
@@ -227,23 +242,24 @@ def _level_from_parts(fx, fy, fz, acc, mask, shape) -> MgLevel:
             "non-positive row"
         )
     return MgLevel(
-        shape=shape, faces=tuple(faces), acc=acc, mask=mask,
-        diag=diag, inv_diag=1.0 / diag,
+        shape=shape, faces=tuple(faces), acc=acc.astype(dtype, copy=False),
+        mask=mask, diag=diag.astype(dtype, copy=False),
+        inv_diag=(1.0 / diag).astype(dtype, copy=False),
     )
 
 
-def _coarsen(fine: MgLevel) -> MgLevel:
-    nxf, nyf, nzf = fine.shape
-    nxc, nyc = -(-nxf // 2), -(-nyf // 2)
+def _coarsen(fx, fy, fz, acc, mask):
+    """The coarse level's float64 ``(fx, fy, fz, acc, mask)``."""
     # Cross-aggregate faces are the odd-index fine faces (between fine
     # cells 2I+1 and 2I+2, i.e. between aggregates I and I+1), summed
     # over the perpendicular lateral pairing.
-    fxc = _pair_sum(fine.fx[1::2], 1)
-    fyc = _pair_sum(fine.fy[:, 1::2], 0)
-    fzc = _pair_sum(_pair_sum(fine.fz, 0), 1)
-    acc = _pair_sum(_pair_sum(fine.acc, 0), 1)
-    mask = _pair_any(_pair_any(fine.mask, 0), 1)
-    return _level_from_parts(fxc, fyc, fzc, acc, mask, (nxc, nyc, nzf))
+    return (
+        _pair_sum(fx[1::2], 1),
+        _pair_sum(fy[:, 1::2], 0),
+        _pair_sum(_pair_sum(fz, 0), 1),
+        _pair_sum(_pair_sum(acc, 0), 1),
+        _pair_any(_pair_any(mask, 0), 1),
+    )
 
 
 def planned_level_shapes(
@@ -266,9 +282,10 @@ def planned_level_shapes(
 
 
 def _dense_matrix(level: MgLevel) -> np.ndarray:
-    """The level operator as a dense symmetric matrix (identity masked
-    rows *and* zeroed masked columns — the operator restricted to the
-    zero-on-mask subspace, which is where CG's residuals live)."""
+    """The level operator as a dense symmetric float64 matrix, from the
+    level's stored coefficients (identity masked rows *and* zeroed
+    masked columns — the operator restricted to the zero-on-mask
+    subspace, which is where CG's residuals live)."""
     n = level.cells
     idx = np.arange(n).reshape(level.shape)
     a = np.zeros((n, n), dtype=np.float64)
@@ -304,6 +321,11 @@ class MgHierarchy:
     def shape(self) -> tuple[int, int, int]:
         return self.levels[0].shape
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The working dtype the V-cycle runs in."""
+        return self.levels[0].dtype
+
     def level_shapes(self) -> list[list[int]]:
         return [list(level.shape) for level in self.levels]
 
@@ -315,6 +337,7 @@ class MgHierarchy:
             "smoother_iters": int(self.smoother_iters),
             "omega": float(self.omega),
             "cycles": int(cycles),
+            "dtype": self.dtype.name,
             "coarse_solve": (
                 "dense" if self.levels[-1].dense_inv is not None
                 else "smooth"
@@ -330,6 +353,7 @@ def build_hierarchy(
     levels: int | None = None,
     smoother_iters: int | None = None,
     omega: float = DEFAULT_OMEGA,
+    dtype=np.float64,
 ) -> MgHierarchy:
     """Build the hierarchy from the engine's own operator ingredients.
 
@@ -337,7 +361,7 @@ def build_hierarchy(
     ----------
     coefficients:
         A :class:`repro.fv.coefficients.FluxCoefficients` (any dtype;
-        promoted to float64 here).
+        promoted to float64 for the construction).
     dirichlet_mask:
         Boolean identity-row mask, fine-grid shaped.
     accumulation:
@@ -346,7 +370,12 @@ def build_hierarchy(
         the Jacobi inverse diagonal.
     levels / smoother_iters / omega:
         Schedule knobs; ``None`` means the defaults above.
+    dtype:
+        The working dtype the levels are stored and the V-cycle runs in
+        — the solve's.  Every level is built in float64 and rounded once
+        into ``dtype``; the coarsest dense inverse stays float64.
     """
+    dtype = np.dtype(dtype)
     shape = tuple(int(v) for v in dirichlet_mask.shape)
     mask = np.asarray(dirichlet_mask, dtype=bool)
     acc = (
@@ -354,18 +383,18 @@ def build_hierarchy(
         if accumulation is None
         else np.asarray(accumulation, dtype=np.float64).reshape(shape).copy()
     )
-    fine = _level_from_parts(
+    parts = (
         coefficients.cx.astype(np.float64),
         coefficients.cy.astype(np.float64),
         coefficients.cz.astype(np.float64),
         acc,
         mask,
-        shape,
     )
-    shapes = planned_level_shapes(shape, levels)
-    built = [fine]
-    for _ in shapes[1:]:
-        built.append(_coarsen(built[-1]))
+    built = []
+    for index, level_shape in enumerate(planned_level_shapes(shape, levels)):
+        if index:
+            parts = _coarsen(*parts)
+        built.append(_level_from_parts(*parts, level_shape, dtype))
     coarsest = built[-1]
     if coarsest.cells <= DENSE_SOLVE_MAX_CELLS:
         coarsest.dense_inv = np.linalg.inv(_dense_matrix(coarsest))
@@ -383,6 +412,7 @@ def hierarchy_for_problem(
     accumulation: np.ndarray | None = None,
     levels: int | None = None,
     smoother_iters: int | None = None,
+    dtype=np.float64,
 ) -> MgHierarchy:
     """Convenience wrapper taking a ``SinglePhaseProblem``."""
     return build_hierarchy(
@@ -391,6 +421,7 @@ def hierarchy_for_problem(
         accumulation=accumulation,
         levels=levels,
         smoother_iters=smoother_iters,
+        dtype=dtype,
     )
 
 

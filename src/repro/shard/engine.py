@@ -102,16 +102,17 @@ class CrewSweep:
         """Run one host-assisted V-cycle over the board's residual.
 
         Every worker has just pushed its ``r`` block to the board; the
-        float64 V-cycle replaces the board contents with the ``z`` field
-        the ``mg_*`` phases read back.  Host gather/scatter bytes are
-        tracked separately (``shard["mg_host_bytes"]``); the inter-shard
-        link model stays untouched (pinned: ``links["exchanges"] ==
-        iterations + 1`` with or without mg).
+        V-cycle, run at the working dtype, replaces the board contents
+        with the ``z`` field the ``mg_*`` phases read back.  Host
+        gather/scatter bytes are tracked separately
+        (``shard["mg_host_bytes"]``); the inter-shard link model stays
+        untouched (pinned: ``links["exchanges"] == iterations + 1`` with
+        or without mg).
         """
         from repro.mg import mg_apply
 
         board, engine = self.board, self.engine
-        board[...] = mg_apply(engine.stagings[0].mg_hier, board).astype(engine.dtype)
+        board[...] = mg_apply(engine.stagings[0].mg_hier, board)
         engine.mg_host_bytes += 2 * board.nbytes
 
     def init(self) -> list[float]:

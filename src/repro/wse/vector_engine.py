@@ -258,8 +258,9 @@ def _stage_problem(
         st.inv_diag = (1.0 / diag).astype(dtype)
         st.z = np.zeros(grid.shape, dtype=dtype)
     elif program.mg:
-        # The V-cycle hierarchy is a host-side float64 construct (like
-        # resolved tolerances); only the z column lives on the fabric.
+        # The V-cycle hierarchy is a host-side construct (like resolved
+        # tolerances) in the working dtype, its coarsest solve float64;
+        # only the z column lives on the fabric.
         from repro.mg import build_hierarchy
 
         st.z = np.zeros(grid.shape, dtype=dtype)
@@ -270,6 +271,7 @@ def _stage_problem(
                 accumulation=accumulation,
                 levels=program.mg_levels,
                 smoother_iters=program.mg_smoother_iters,
+                dtype=dtype,
             )
         st.mg_hier = mg_hierarchy
 
@@ -1166,7 +1168,7 @@ class StackSweep:
             from repro.mg import mg_apply
 
             for i in lanes:
-                st.z[i] = mg_apply(self.mg_hiers[i], st.r[i]).astype(self.dtype)
+                st.z[i] = mg_apply(self.mg_hiers[i], st.r[i])
 
     def _residual_dots(self, lanes: Sequence[int]) -> list[float]:
         w = self.st.z if self.uses_z else self.st.r

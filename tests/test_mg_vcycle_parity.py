@@ -25,6 +25,9 @@ import repro
 import repro.mg
 import repro.mg.hierarchy
 from helpers import make_problem
+from repro.core.engines import create_engine
+from repro.core.program import CgProgram
+from repro.core.solver import WseMatrixFreeSolver, simulate_reports, solve_batch
 from repro.fv.operator import apply_jx
 from repro.mesh.grid import CartesianGrid3D
 from repro.mesh.wells import quarter_five_spot
@@ -32,6 +35,7 @@ from repro.mg import build_hierarchy, level_apply, mg_apply, prolong, restrict
 from repro.mg.cycle import _smooth
 from repro.mg.hierarchy import COARSE_FALLBACK_SWEEPS, DENSE_SOLVE_MAX_CELLS
 from repro.physics.darcy import build_problem
+from repro.wse.specs import WSE2
 
 # -- the frozen oracle --------------------------------------------------------
 
@@ -92,6 +96,22 @@ def _legacy_mg_apply(hier, r):
     return _legacy_v_cycle(hier, 0, np.asarray(r, dtype=np.float64))
 
 
+def _legacy_at(hier, r):
+    """The frozen cycle run at ``hier``'s working dtype.
+
+    A float64 hierarchy goes through ``_legacy_mg_apply``.  A float32
+    one enters ``_legacy_v_cycle`` with a float32 ``r``, so every sweep
+    and transfer runs at float32 and the float64 dense coarse solve is
+    rounded where it is added to the finer ``z``; only a one-level
+    hierarchy returns that float64 solve itself, rounded here exactly as
+    ``mg_apply`` rounds it.
+    """
+    dtype = hier.dtype
+    if dtype == np.float64:
+        return _legacy_mg_apply(hier, r)
+    return _legacy_v_cycle(hier, 0, r.astype(dtype)).astype(dtype, copy=False)
+
+
 def _bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
     """Same shape, dtype and bytes — signed zeros included."""
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -119,7 +139,10 @@ _fallback = st.one_of(
 )
 
 
-def _hierarchy(case: dict, seed: int, mask_rate: float, transient: bool, iters: int):
+def _hierarchy(
+    case: dict, seed: int, mask_rate: float, transient: bool, iters: int,
+    dtype=np.float64,
+):
     rng = np.random.default_rng(seed)
     nx, ny, nz = shape = case["shape"]
     faces = SimpleNamespace(
@@ -132,12 +155,13 @@ def _hierarchy(case: dict, seed: int, mask_rate: float, transient: bool, iters: 
     if acc is None:  # a steady operator needs a Dirichlet cell to be SPD
         mask.flat[rng.integers(mask.size)] = True
     hier = build_hierarchy(
-        faces, mask, accumulation=acc, levels=case["levels"], smoother_iters=iters
+        faces, mask, accumulation=acc, levels=case["levels"], smoother_iters=iters,
+        dtype=dtype,
     )
     r = rng.standard_normal(shape)
     r[mask] = 0.0
     r[rng.random(shape) < 0.1] = -0.0  # signed zeros must survive as before
-    return hier, r
+    return hier, r.astype(dtype, copy=False)
 
 
 @given(
@@ -148,13 +172,15 @@ def _hierarchy(case: dict, seed: int, mask_rate: float, transient: bool, iters: 
     iters=st.integers(1, 8),
 )
 def test_vcycle_is_bitwise_the_legacy_cycle(case, seed, mask_rate, transient, iters):
-    hier, r = _hierarchy(case, seed, mask_rate, transient, iters)
-    expected = _legacy_mg_apply(hier, r)
-    got = mg_apply(hier, r)
-    assert np.array_equal(got, expected)
-    assert _bitwise_equal(got, expected)
-    # Scratch reuse: a second cycle on the same hierarchy is unchanged.
-    assert _bitwise_equal(mg_apply(hier, r), expected)
+    for dtype in (np.float64, np.float32):
+        hier, r = _hierarchy(case, seed, mask_rate, transient, iters, dtype)
+        expected = _legacy_at(hier, r)
+        got = mg_apply(hier, r)
+        assert got.dtype == dtype
+        assert np.array_equal(got, expected)
+        assert _bitwise_equal(got, expected)
+        # Scratch reuse: a second cycle on the same hierarchy is unchanged.
+        assert _bitwise_equal(mg_apply(hier, r), expected)
 
 
 @given(
@@ -231,15 +257,16 @@ class TestFlatStrideLayout:
         assert _bitwise_equal(level_apply(fine, x), _legacy_level_apply(fine, x))
 
 
-def _record_builds(monkeypatch) -> list:
+def _record_builds(monkeypatch, ref=weakref.ref) -> list:
     """Wrap ``build_hierarchy`` where it is looked up; returns a list
-    that gains a weak reference to every hierarchy built."""
+    that gains ``ref(hierarchy)`` (a weak reference by default) for
+    every hierarchy built."""
     built = []
     original = repro.mg.hierarchy.build_hierarchy
 
     def recording(*args, **kwargs):
         hier = original(*args, **kwargs)
-        built.append(weakref.ref(hier))
+        built.append(ref(hier))
         return hier
 
     monkeypatch.setattr(repro.mg.hierarchy, "build_hierarchy", recording)
@@ -307,3 +334,45 @@ def test_one_hierarchy_build_per_lane_and_step(monkeypatch):
         scenarios[0], backend="wse", spec=spec.with_options(n_steps=3, dt=1.0)
     )
     assert len(built) == 3
+
+
+def _mg_reports(entry: str, problem, dtype) -> list:
+    """The mg reports of one solve whose hierarchy ``entry`` builds."""
+    if entry in ("event", "vectorized"):
+        # Engines handed no hierarchy build their own.
+        program = CgProgram(preconditioner="mg")
+        engine = create_engine(entry, problem, program, spec=WSE2, dtype=dtype)
+        return [engine.run()]
+    options = dict(
+        dtype=dtype, engine="vectorized", preconditioner="mg", rel_tol=1e-5
+    )
+    if entry == "solver":
+        return [WseMatrixFreeSolver(problem, **options).solve()]
+    if entry == "solve_batch":
+        return solve_batch([problem, problem], **options)
+    return list(simulate_reports(problem, dts=[1.0, 2.0], **options))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize(
+    "entry", ["solver", "solve_batch", "simulate_reports", "event", "vectorized"]
+)
+def test_hierarchy_is_built_at_the_solve_dtype(entry, dtype, monkeypatch):
+    """The V-cycle runs at the solve's working precision, whichever site
+    builds the hierarchy: every level's faces, diagonals and scratch are
+    in the solve dtype, and only the coarsest dense inverse is float64."""
+    built = _record_builds(monkeypatch, ref=lambda hier: hier)
+    problem = repro.scenario(
+        "lognormal_reservoir", nx=8, ny=8, nz=2, seed=2
+    ).build()
+    reports = _mg_reports(entry, problem, dtype)
+    assert len(built) == len(reports)
+    for hier, report in zip(built, reports):
+        assert report.converged
+        assert report.preconditioner["dtype"] == np.dtype(dtype).name
+        assert hier.dtype == dtype
+        for level in hier.levels:
+            arrays = (*level.faces, level.acc, level.diag, level.inv_diag,
+                      level.work, level.prod)
+            assert [a.dtype for a in arrays] == [np.dtype(dtype)] * len(arrays)
+        assert hier.levels[-1].dense_inv.dtype == np.float64

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from helpers import make_problem
 from repro.mg import (
     MAX_MG_LEVELS,
@@ -255,6 +256,36 @@ class TestVCycle:
             hierarchy_for_problem(problem, smoother_iters=0)
         with pytest.raises(ConfigurationError, match="smoother_iters"):
             hierarchy_for_problem(problem, smoother_iters=9)
+
+
+class TestWorkingPrecision:
+    def test_float32_cycle(self, problem):
+        hier = hierarchy_for_problem(problem, dtype=np.float32)
+        level = hier.levels[0]
+        r = _masked_random(level.shape, level.mask, seed=11)
+        z = mg_apply(hier, r)
+        assert z.dtype == np.float32
+        np.testing.assert_array_equal(z, mg_apply(hier, r.astype(np.float32)))
+        assert np.all(z[level.mask] == 0.0)
+        # The float32 cycle approximates the float64 one to its precision.
+        z64 = mg_apply(hierarchy_for_problem(problem), r)
+        np.testing.assert_allclose(z, z64, rtol=1e-4, atol=1e-4 * np.abs(z64).max())
+
+    @pytest.mark.parametrize(
+        "scenario, ceiling",
+        # 1.10x the iterations the float64 cycle took (24 and 40).
+        [("lognormal_reservoir", 26), ("channelized_reservoir", 44)],
+    )
+    def test_float32_cycle_keeps_the_iteration_counts(self, scenario, ceiling):
+        spec = SolveSpec.from_kwargs(
+            engine="fused", preconditioner="mg", dtype="float32", rel_tol=1e-5
+        )
+        result = repro.solve(
+            repro.scenario(scenario, nx=24, ny=24, nz=6), backend="wse", spec=spec
+        )
+        assert result.converged
+        assert result.telemetry["preconditioner"]["dtype"] == "float32"
+        assert result.iterations <= ceiling
 
 
 class TestSpecKnobs:
