@@ -11,9 +11,11 @@ gateways, streams one transient over the WebSocket, and asserts the
 invariants the issue's acceptance scenario names:
 
 * every request resolves and converges;
-* **zero lost manifest records** — the shared store holds exactly the
-  10 distinct fingerprints, each loadable (the lost-update regression:
-  blind manifest rewrites dropped whichever gateway flushed first);
+* **zero lost manifest records** — the shared store, read back by a
+  fresh ``ResultStore``, holds exactly the 10 distinct fingerprints,
+  each loadable (the lost-update regression: blind manifest rewrites
+  dropped whichever gateway flushed first), and every line of its
+  manifest journal ends in a newline and parses;
 * cache + dedup + cross-gateway store sharing hold the number of
   genuine solves across *both* processes to **≤ 10**;
 * each gateway's ``/metrics`` totals agree with its own durable
@@ -53,6 +55,14 @@ def check(condition: bool, message: str) -> None:
     if not condition:
         raise AssertionError(message)
     print(f"  ok: {message}")
+
+
+def _parses(line: bytes) -> bool:
+    try:
+        json.loads(line)
+    except ValueError:
+        return False
+    return True
 
 
 def _gateway_main(root: str, run_id: str, ready, stop) -> None:
@@ -172,17 +182,19 @@ def main() -> int:
                 process.join(timeout=60)
 
         # -- shared store integrity, after both writers are gone ---------
-        manifest = json.loads(
-            (pathlib.Path(root) / "store" / "manifest.json").read_text()
-        )
+        store_root = pathlib.Path(root) / "store"
+        lines = (store_root / ResultStore.JOURNAL).read_bytes().split(b"\n")
+        check(lines[-1] == b"" and all(map(_parses, lines[:-1])),
+              f"every one of {len(lines) - 1} journal lines ends in a "
+              f"newline and parses")
+        store = ResultStore(store_root)  # a fresh reader of the durable state
         expected = {
             plan_entry(s, spec, "wse").fingerprint for s in scenarios
         }
-        solve_records = {k for k in manifest if "#" not in k}
+        solve_records = {k for k in store.keys() if "#" not in k}
         check(solve_records == expected,
               f"zero lost manifest records: {len(solve_records)}/{DISTINCT} "
               f"distinct fingerprints survived both writers")
-        store = ResultStore(pathlib.Path(root) / "store")
         for fingerprint in expected:
             store.load(fingerprint)
         check(True, "every shared-store record rehydrates")

@@ -30,9 +30,9 @@ but :mod:`asyncio.streams`:
 
 Multiple gateways (processes) may share one
 :class:`~repro.session.ResultStore` root: the store's advisory file
-lock plus merge-on-write manifest rewrites make concurrent writers
-lossless, and its stat-based reload lets gateway B serve gateway A's
-solves from the store tier.
+lock around replay-then-append journal writes makes concurrent writers
+lossless, and its stat-checked journal replay lets gateway B serve
+gateway A's solves from the store tier.
 """
 
 from __future__ import annotations

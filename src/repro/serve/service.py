@@ -17,9 +17,10 @@ Request lifecycle (the order is the design):
 2. **in-flight dedup** — a miss whose fingerprint is already queued or
    solving *attaches* to that request; N identical concurrent requests
    cost one solve.
-3. **admission** — genuinely new work enters the request queue; the
-   admission controller groups compatible requests (same backend / spec
-   fingerprint / grid shape) into fused
+3. **admission** — only genuinely new work builds its problem and
+   enters the request queue; the admission controller groups
+   compatible requests (same backend / spec fingerprint / grid shape)
+   into fused
    :class:`~repro.wse.vector_engine.BatchedVectorEngine` lanes.
 4. **dispatch** — lanes run on a persistent worker pool (threads by
    default, processes for GIL-bound backends); failures classify
@@ -200,7 +201,6 @@ class SolveService:
         self._admission_task: asyncio.Task | None = None
         self._dispatch_tasks: set[asyncio.Task] = set()
         self._inflight: dict[str, SolveRequest] = {}
-        self._problem_cache: dict[str, SinglePhaseProblem] = {}
         self._pool: concurrent.futures.Executor | None = None
         self._stream_pool: concurrent.futures.ThreadPoolExecutor | None = None
         #: (stop, demand) per live stream bridge — close() trips these so
@@ -301,16 +301,13 @@ class SolveService:
         solve_spec = self._resolve_spec(spec, options)
         get_backend(backend)  # fail fast on a typo'd backend
         entry = plan_entry(target, solve_spec, backend)
-        problem = entry.build_problem(self._problem_cache)
+        submitted_at = time.time()
         future: asyncio.Future[SolveResult] = (
             asyncio.get_running_loop().create_future()
         )
-        request = SolveRequest(
-            entry=entry, problem=problem, future=future,
-            submitted_at=time.time(),
-        )
+        request_id = next_request_id()
         self.recorder.record_submit(
-            request.request_id,
+            request_id,
             fingerprint=entry.fingerprint,
             backend=backend,
             label=entry.label,
@@ -319,20 +316,32 @@ class SolveService:
         cached, tier = self.cache.lookup(entry.fingerprint)
         if cached is not None:
             assert tier is not None
-            self.recorder.record_cache_hit(request.request_id, tier)
-            self.recorder.record_outcome(
-                request.request_id, outcome="ok", cache=tier
-            )
+            self.recorder.record_cache_hit(request_id, tier)
+            self.recorder.record_outcome(request_id, outcome="ok", cache=tier)
             future.set_result(cached)
             return future
 
         primary = self._inflight.get(entry.fingerprint)
         if primary is not None:
             primary.followers.append(future)
-            self.recorder.record_cache_hit(request.request_id, "dedup")
-            self._record_outcome_on_done(future, request.request_id, "dedup")
+            self.recorder.record_cache_hit(request_id, "dedup")
+            self._record_outcome_on_done(future, request_id, "dedup")
             return future
 
+        # Only work that will be computed builds its problem.
+        try:
+            problem = entry.build_problem()
+        except Exception as exc:
+            self.recorder.record_outcome(
+                request_id, outcome="error",
+                error=f"{type(exc).__name__}: {exc}",
+                category=classify_failure(exc),
+            )
+            raise
+        request = SolveRequest(
+            entry=entry, problem=problem, future=future,
+            request_id=request_id, submitted_at=submitted_at,
+        )
         self._inflight[entry.fingerprint] = request
         assert self._queue is not None
         self._queue.put(request)
@@ -372,7 +381,6 @@ class SolveService:
                 f"backend {backend!r} does not support transient simulation"
             )
         entry = plan_entry(target, solve_spec, backend)
-        problem = entry.build_problem(self._problem_cache)
         n_steps = solve_spec.time.n_steps
         request_id = next_request_id()
         self.recorder.record_submit(
@@ -410,7 +418,7 @@ class SolveService:
                 yield step
             if len(stored) < n_steps:
                 async for step in self._produce_steps(
-                    backend_obj, problem, solve_spec, entry.fingerprint,
+                    backend_obj, entry.build_problem(), solve_spec, entry.fingerprint,
                     start_step=len(stored),
                     state=stored[-1].pressure if stored else None,
                 ):

@@ -24,9 +24,10 @@ the operator/configuration from how it is driven):
 * **Per-entry error capture** — one diverging entry yields a
   :class:`PlanEntryResult` with ``error`` set instead of poisoning the
   batch; results always come back in input order.
-* **Persistent results** — a :class:`ResultStore` writes a JSON manifest
-  plus NPZ pressure fields per entry; re-running a plan against a
-  populated store skips completed entries (``from_store=True``).
+* **Persistent results** — a :class:`ResultStore` writes NPZ pressure
+  fields per entry plus one line per entry in an append-only manifest
+  journal; re-running a plan against a populated store skips completed
+  entries (``from_store=True``).
 """
 
 from __future__ import annotations
@@ -265,86 +266,157 @@ class ResultStore:
 
     Layout::
 
-        <root>/manifest.json      one record per fingerprint (scenario,
-                                  backend, spec, iterations, timings)
-        <root>/<fingerprint>.npz  pressure field + residual history
+        <root>/manifest.jsonl         the manifest journal: one JSON
+                                      record per line (scenario, backend,
+                                      spec, iterations, timings)
+        <root>/manifest.lock          advisory lock serializing writers
+        <root>/<fingerprint>.npz      pressure field + residual history
+        <root>/<fingerprint>.steps/   one NPZ per completed transient step
 
     Only the JSON-able core survives persistence: reloaded results carry
     ``telemetry = {"time_kind": ..., "from_store": True}``, not live
     fabric traces or counters.
 
+    **The journal.**  The manifest (key → record) is the replay of an
+    append-only journal.  Its first line is a header naming the journal
+    generation; every other line is ``{"op": "put", "key", "record"}`` or
+    ``{"op": "del", "key"}``, and the last line for a key wins.  A write
+    appends its lines as compact JSON with a single ``os.write`` on an
+    ``O_APPEND`` descriptor, so its cost does not depend on how many
+    records the store holds.  Once the journal holds more than twice as
+    many record lines as live records, the writer compacts it: one
+    ``put`` per live record under a new header, written to a temp file
+    and ``os.replace``-d into place.
+
+    **Reads.**  Each instance remembers the journal's (inode, size) and
+    the byte offset it has replayed through.  A read costs one ``stat``;
+    when the journal grew, only the new bytes are replayed.  A new inode
+    or header (a compaction) replays the journal from the start.  A last
+    line without a newline is a write in progress or one a crash tore:
+    readers leave it unread, and the next writer truncates it before it
+    appends.
+
     **Multi-writer safe.**  Several store instances — worker threads of
     one service, or separate gateway *processes* — may share one root.
-    Every manifest rewrite happens under an advisory file lock
-    (``manifest.lock``) as read-merge-write: the on-disk manifest is
-    re-read and this instance's pending changes (tracked as dirty /
-    deleted key sets) are overlaid before the atomic replace, so
-    concurrent writers never drop each other's records.  Reads go
-    through a manifest ``stat`` check that reloads when another writer
-    has flushed — gateway B's cache probe sees gateway A's record
-    without either restarting.
+    Every append happens under the advisory lock ``manifest.lock``, after
+    the writer has replayed what the others appended, and each line
+    touches only its own key, so concurrent writers never drop each
+    other's records.  An instance's own edits that are not yet in the
+    journal win over anything it replays.  Gateway B's cache probe sees
+    gateway A's record on its next read, without either restarting; an
+    instance opened before a compaction keeps reading correctly after it.
+
+    **Legacy stores.**  A root that holds only the older ``manifest.json``
+    (one JSON document, key → record) opens with every record; its first
+    write migrates the records into a new journal and removes the old
+    file.
     """
 
-    MANIFEST = "manifest.json"
+    JOURNAL = "manifest.jsonl"
+    LEGACY_MANIFEST = "manifest.json"
     LOCKFILE = "manifest.lock"
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._manifest: dict[str, dict[str, Any]] = {}
-        #: Keys this instance changed / removed since its last flush —
-        #: exactly what read-merge-write overlays onto the disk state.
-        self._dirty: set[str] = set()
-        self._deleted: set[str] = set()
+        #: Edits this instance made that are not in the journal yet:
+        #: key -> record, or ``None`` for a delete.  Replay never
+        #: overwrites them.
+        self._pending: dict[str, dict[str, Any] | None] = {}
         self._mutex = threading.RLock()
         self._filelock = FileLock(self.root / self.LOCKFILE)
-        self._disk_state: tuple[int, int, int] | None = None
+        #: The journal's (inode, size) when last read; ``None`` = none.
+        self._seen: tuple[int, int] | None = None
+        #: The journal's header line, as read.
+        self._head = b""
+        #: Bytes replayed so far; always just past a newline.
+        self._offset = 0
+        #: Record lines in the journal: the compaction trigger.
+        self._lines = 0
         with self._mutex:
-            self._reload_from_disk()
+            self._replay()
 
     @property
-    def _manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
+    def _journal_path(self) -> Path:
+        return self.root / self.JOURNAL
 
-    def _stat_state(self) -> tuple[int, int, int] | None:
-        """The manifest file's identity: (mtime_ns, inode, size).
-
-        ``os.replace`` swaps in a new inode, so any completed rewrite —
-        even one within the same mtime tick — changes this tuple.
-        """
+    def _stat_journal(self) -> tuple[int, int] | None:
         try:
-            st = os.stat(self._manifest_path)
+            st = os.stat(self._journal_path)
         except FileNotFoundError:
             return None
-        return (st.st_mtime_ns, st.st_ino, st.st_size)
+        return (st.st_ino, st.st_size)
 
-    def _reload_from_disk(self) -> None:
-        """Re-read the manifest, overlaying this instance's pending edits.
+    def _replay(self) -> None:
+        """Bring the in-memory manifest up to the journal on disk.
 
-        Caller holds ``_mutex``.  The atomic-replace write discipline
-        means the read always sees a complete JSON document (old or
-        new, never torn).
+        Caller holds ``_mutex``.  Replays only the bytes past ``_offset``
+        while the journal is the inode and generation last read, and from
+        the start otherwise.  With no journal, the records come from a
+        legacy ``manifest.json`` if there is one.
         """
-        state = self._stat_state()
-        disk: dict[str, dict[str, Any]] = {}
-        if state is not None:
+        try:
+            fh = open(self._journal_path, "rb")
+        except FileNotFoundError:
+            self._manifest, self._seen, self._head = self._read_legacy(), None, b""
+            self._offset = self._lines = 0
+            self._apply_pending()
+            return
+        with fh:
+            st = os.fstat(fh.fileno())
+            ino = st.st_ino
+            same = (
+                self._seen is not None
+                and self._seen[0] == ino
+                and st.st_size >= self._offset
+                and fh.read(len(self._head)) == self._head
+            )
+            if not same:
+                fh.seek(0)
+                self._head = fh.readline()
+                if not self._head.endswith(b"\n"):  # torn before any newline
+                    self._head = b""
+                self._manifest, self._offset, self._lines = {}, len(self._head), 0
+            fh.seek(self._offset)
+            data = fh.read()
+        self._seen = (ino, self._offset + len(data))
+        end = data.rfind(b"\n") + 1
+        for line in data[:end].splitlines():
+            self._lines += 1
             try:
-                disk = json.loads(self._manifest_path.read_text())
-            except FileNotFoundError:  # replaced away between stat and read
-                state = None
-        for key in self._dirty:
-            if key in self._manifest:
-                disk[key] = self._manifest[key]
-        for key in self._deleted:
-            disk.pop(key, None)
-        self._manifest = disk
-        self._disk_state = state
+                entry = json.loads(line)
+                key = entry["key"]
+            except (ValueError, KeyError, TypeError):
+                continue  # not a record line; compaction drops it
+            if key in self._pending:
+                continue
+            if entry.get("op") == "put":
+                self._manifest[key] = entry["record"]
+            elif entry.get("op") == "del":
+                self._manifest.pop(key, None)
+        self._offset += end
+        if not same:
+            self._apply_pending()
+
+    def _read_legacy(self) -> dict[str, dict[str, Any]]:
+        try:
+            return json.loads((self.root / self.LEGACY_MANIFEST).read_text())
+        except FileNotFoundError:
+            return {}
+
+    def _apply_pending(self) -> None:
+        for key, record in self._pending.items():
+            if record is None:
+                self._manifest.pop(key, None)
+            else:
+                self._manifest[key] = record
 
     def _maybe_reload(self) -> None:
-        """Pick up other writers' flushes (cheap: one ``stat`` per read)."""
+        """Pick up other writers' appends (cheap: one ``stat`` per read)."""
         with self._mutex:
-            if self._stat_state() != self._disk_state:
-                self._reload_from_disk()
+            if self._stat_journal() != self._seen:
+                self._replay()
 
     def __len__(self) -> int:
         self._maybe_reload()
@@ -377,7 +449,7 @@ class ResultStore:
         incoming request; loading (or even ``stat``-ing) the NPZ payload
         on that hot path would make every *miss* pay disk I/O.  This
         answers purely from the in-memory manifest (refreshed by a
-        single manifest ``stat`` when another writer flushed) —
+        single journal ``stat`` when another writer appended) —
         :meth:`load` still verifies the payload exists when a hit is
         actually consumed.
         """
@@ -397,28 +469,24 @@ class ResultStore:
             return None if record is None else dict(record)
 
     def save(self, entry: PlanEntry, result: SolveResult) -> None:
-        """Persist one completed entry (manifest rewritten atomically)."""
+        """Persist one completed entry (one journal line)."""
         fingerprint = entry.fingerprint
         np.savez_compressed(
             self.root / f"{fingerprint}.npz",
             pressure=result.pressure,
             residual_history=np.asarray(result.residual_history, dtype=np.float64),
         )
-        with self._mutex:
-            self._manifest[fingerprint] = {
-                "fingerprint": fingerprint,
-                "label": entry.label,
-                "scenario": entry.scenario.name if entry.scenario is not None else None,
-                "backend": entry.backend,
-                "spec": entry.spec.to_dict(),
-                "iterations": int(result.iterations),
-                "converged": bool(result.converged),
-                "elapsed_seconds": float(result.elapsed_seconds),
-                "time_kind": result.telemetry.get("time_kind"),
-            }
-            self._dirty.add(fingerprint)
-            self._deleted.discard(fingerprint)
-            self._flush()
+        self._commit(fingerprint, {
+            "fingerprint": fingerprint,
+            "label": entry.label,
+            "scenario": entry.scenario.name if entry.scenario is not None else None,
+            "backend": entry.backend,
+            "spec": entry.spec.to_dict(),
+            "iterations": int(result.iterations),
+            "converged": bool(result.converged),
+            "elapsed_seconds": float(result.elapsed_seconds),
+            "time_kind": result.telemetry.get("time_kind"),
+        })
 
     def load(self, fingerprint: str) -> SolveResult:
         """Rehydrate a persisted :class:`SolveResult`."""
@@ -446,10 +514,12 @@ class ResultStore:
     # A simulation persists as an append-only *step stack*: one NPZ per
     # completed step under ``<fingerprint>.steps/`` (written atomically,
     # tmp + rename) plus a manifest record under ``<fingerprint>#steps``
-    # tracking ``steps_completed``.  Appending step N touches only step
-    # N's file — O(1) per step — and a torn write can at worst lose the
-    # step being written, never the stack behind it, so an interrupted
-    # run always leaves a valid partial stack for
+    # carrying ``steps_completed``.  A step file is renamed into place
+    # before its journal line is written, so the record never counts a
+    # step whose file was not complete.  Appending step N writes step N's
+    # file and one journal line — O(1) per step — and a torn write can at
+    # worst lose the step being written, never the stack behind it, so
+    # an interrupted run always leaves a valid partial stack for
     # ``repro.simulate(..., store=...)`` to resume from.
 
     @staticmethod
@@ -462,17 +532,20 @@ class ResultStore:
     def _step_path(self, fingerprint: str, step: int) -> Path:
         return self._steps_dir(fingerprint) / f"{step:05d}.npz"
 
+    def _recorded_steps(self, fingerprint: str) -> int:
+        record = self.get(self._steps_key(fingerprint))
+        return int(record.get("steps_completed", 0)) if record else 0
+
     def simulation_steps_completed(self, fingerprint: str) -> int:
         """How many steps of this simulation are already persisted.
 
         Counts the consecutive on-disk prefix, capped by the manifest
-        record — a step file that never finished writing (crash before
-        the rename) is simply not there and ends the prefix.
+        record — a step file lost after its record was written (deleted,
+        or a stack cleared under a racing producer) ends the prefix.  It
+        stats each step file, so the resume paths call it once per run;
+        an append reads the record alone.
         """
-        record = self.get(self._steps_key(fingerprint))
-        if not record:
-            return 0
-        completed = int(record.get("steps_completed", 0))
+        completed = self._recorded_steps(fingerprint)
         for step in range(1, completed + 1):
             if not self._step_path(fingerprint, step).exists():
                 return step - 1
@@ -487,32 +560,34 @@ class ResultStore:
     ) -> None:
         """Append one completed step to the fingerprint's step stack.
 
-        Steps must arrive in order (``step.step == completed + 1``); the
-        manifest record carries ``meta`` (label, backend, spec, n_steps)
-        from the first step onward.
+        Steps must arrive in order (``step.step <= completed + 1``, with
+        ``completed`` from the manifest record); the record carries
+        ``meta`` (label, backend, spec, n_steps) from the first step
+        onward.
 
         Appending a step that is *already durable* is a silent no-op,
         not an error: steps are content-addressed and deterministic, so
         two producers for one fingerprint (a stream abandoned mid-cut
         racing its resumed successor) write identical bytes, and the
-        loser of the race has nothing left to do.  Only a *gap* —
-        appending past ``completed + 1`` — is a real bug.
+        loser of the race has nothing left to do.  A counted step whose
+        file is gone is written again.  Only a *gap* — appending past
+        ``completed + 1`` — is a real bug.
         """
-        completed = self.simulation_steps_completed(fingerprint)
-        if step.step <= completed:
+        completed = self._recorded_steps(fingerprint)
+        target = self._step_path(fingerprint, step.step)
+        if step.step <= completed and target.exists():
             return
-        if step.step != completed + 1:
+        if step.step > completed + 1:
             raise ConfigurationError(
                 f"simulation store for {fingerprint[:12]} has {completed} "
                 f"step(s); cannot append step {step.step}"
             )
-        directory = self._steps_dir(fingerprint)
-        directory.mkdir(parents=True, exist_ok=True)
+        target.parent.mkdir(parents=True, exist_ok=True)
         # A temp name per write: racing producers of the same step must
         # not rename each other's half-written file away.
-        tmp = directory / f".tmp-{step.step:05d}-{uuid.uuid4().hex}.npz"
+        tmp = target.parent / f".tmp-{step.step:05d}-{uuid.uuid4().hex}.npz"
         try:
-            np.savez_compressed(
+            np.savez(
                 tmp,
                 pressure=step.pressure,
                 residual_history=np.asarray(step.residual_history, dtype=np.float64),
@@ -522,37 +597,33 @@ class ResultStore:
                 dt=np.float64(step.dt),
                 elapsed=np.float64(step.elapsed_seconds),
             )
-            os.replace(tmp, self._step_path(fingerprint, step.step))
+            os.replace(tmp, target)
         except BaseException:
             tmp.unlink(missing_ok=True)
             raise
         key = self._steps_key(fingerprint)
-        with self._mutex:
+        with self._mutex, self._filelock:
+            # Merge into the newest record: a racing producer may have
+            # counted further since the check above.
+            self._maybe_reload()
             record = dict(self._manifest.get(key, {}))
             record.update(meta or {})
             record.update(
                 kind="simulation",
                 fingerprint=fingerprint,
-                steps_completed=completed + 1,
+                steps_completed=max(int(record.get("steps_completed", 0)), step.step),
                 time_kind=step.telemetry.get("time_kind", record.get("time_kind")),
                 backend=step.backend or record.get("backend"),
             )
-            self._manifest[key] = record
-            self._dirty.add(key)
-            self._deleted.discard(key)
-            self._flush()
+            self._commit(key, record)
 
     def clear_simulation(self, fingerprint: str) -> None:
         """Drop a fingerprint's step stack (the ``resume=False`` path)."""
-        key = self._steps_key(fingerprint)
-        with self._mutex:
-            self._manifest.pop(key, None)
-            self._deleted.add(key)
-            self._dirty.discard(key)
+        with self._mutex, self._filelock:
             directory = self._steps_dir(fingerprint)
             if directory.exists():
                 shutil.rmtree(directory)
-            self._flush()
+            self._commit(self._steps_key(fingerprint), None)
 
     def load_simulation_steps(self, fingerprint: str) -> list[StepResult]:
         """Rehydrate the persisted step stack (JSON-able core only:
@@ -588,25 +659,79 @@ class ResultStore:
                 )
         return steps
 
-    def _flush(self) -> None:
-        """Durably merge this instance's pending edits into the manifest.
+    # -- the journal write path -----------------------------------------------
 
-        Read-merge-write under the advisory file lock: re-read the disk
-        manifest (another writer may have flushed since we last looked),
-        overlay our dirty/deleted keys, atomically replace.  A blind
-        rewrite here was the classic lost-update bug — two store
-        instances interleaving ``put()`` would each persist only their
-        own records.
+    def _commit(self, key: str, record: dict[str, Any] | None) -> None:
+        """Put (or, with ``None``, delete) one record and flush it."""
+        with self._mutex:
+            if record is None:
+                self._manifest.pop(key, None)
+            else:
+                self._manifest[key] = record
+            self._pending[key] = record
+            self._flush()
+
+    def _flush(self) -> None:
+        """Append this instance's pending edits to the journal.
+
+        Under the advisory file lock: replay what other writers appended,
+        truncate a torn last line, then append one line per pending key
+        with a single ``O_APPEND`` write.  A store without a journal gets
+        its first one by compaction (which also migrates a legacy
+        ``manifest.json``).
         """
         with self._mutex, self._filelock:
-            self._reload_from_disk()
-            path = self._manifest_path
-            tmp = path.with_suffix(".json.tmp")
-            tmp.write_text(json.dumps(self._manifest, indent=2, sort_keys=True))
-            os.replace(tmp, path)
-            self._disk_state = self._stat_state()
-            self._dirty.clear()
-            self._deleted.clear()
+            self._maybe_reload()
+            if self._seen is None:
+                self._compact()
+                (self.root / self.LEGACY_MANIFEST).unlink(missing_ok=True)
+                return
+            path = self._journal_path
+            if self._seen[1] > self._offset:  # a writer died mid-line
+                os.truncate(path, self._offset)
+            payload = b"".join(
+                _journal_line(key, record) for key, record in self._pending.items()
+            )
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND)
+            try:
+                written = os.write(fd, payload)
+            finally:
+                os.close(fd)
+            if written != len(payload):
+                raise OSError(f"short write to {path}: {written}/{len(payload)} B")
+            self._offset += written
+            self._seen = (self._seen[0], self._offset)
+            self._lines += len(self._pending)
+            self._pending.clear()
+            if self._lines > 2 * len(self._manifest):
+                self._compact()
+
+    def _compact(self) -> None:
+        """Rewrite the journal as one ``put`` per live record, under a new
+        header.  Caller holds both locks; the pending edits are already
+        in ``_manifest`` and are written here."""
+        head = json.dumps({"op": "head", "id": uuid.uuid4().hex}).encode() + b"\n"
+        payload = head + b"".join(
+            _journal_line(key, self._manifest[key]) for key in sorted(self._manifest)
+        )
+        path = self._journal_path
+        tmp = path.with_name(path.name + ".tmp")
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+        self._seen = (os.stat(path).st_ino, len(payload))
+        self._head, self._offset = head, len(payload)
+        self._lines = len(self._manifest)
+        self._pending.clear()
+
+
+def _journal_line(key: str, record: dict[str, Any] | None) -> bytes:
+    """One journal line: compact JSON (the C encoder) plus a newline."""
+    entry = (
+        {"op": "del", "key": key} if record is None
+        else {"op": "put", "key": key, "record": record}
+    )
+    return json.dumps(entry, separators=(",", ":"), sort_keys=True).encode() + b"\n"
 
 
 # -- the plan ----------------------------------------------------------------

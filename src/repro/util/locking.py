@@ -1,25 +1,27 @@
 """Advisory cross-process file locking for shared on-disk state.
 
 Several gateway processes can point at one
-:class:`~repro.session.ResultStore` directory; its manifest rewrite
-must then be *read-merge-write under a lock* or concurrent writers drop
-each other's records.  :class:`FileLock` is the primitive: an advisory
-``flock`` on a dedicated lock file (never on the data file itself —
-the data file is atomically replaced, which would orphan the lock).
+:class:`~repro.session.ResultStore` directory; each writer must then
+replay the others' journal lines and append its own *under a lock*, or
+a torn tail could be truncated under a live writer and compaction could
+drop a record appended meanwhile.  :class:`FileLock` is the primitive:
+an advisory ``flock`` on a dedicated lock file (never on the data file
+itself — compaction replaces the journal with a new file, which would
+orphan the lock).
 
 POSIX ``flock`` serializes across processes *and*, on the same open
 file description, across threads; each :meth:`acquire` opens its own
 descriptor, so one ``FileLock`` object is safe to share between
 threads.  Where :mod:`fcntl` does not exist (non-POSIX), locking
 degrades to a no-op — single-process use stays correct because the
-store also merges before every rewrite.
+store also replays the journal before every append.
 
 Usage::
 
     lock = FileLock(store_root / "manifest.lock")
     with lock:
-        merged = read() | pending
-        write_atomically(merged)
+        replay_new_lines()
+        append(pending)
 """
 
 from __future__ import annotations

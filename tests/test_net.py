@@ -342,7 +342,7 @@ class TestResultStoreMultiWriter:
         store_a.save(entry_a, _fake_result(1))
         store_b.save(entry_b, _fake_result(2))
 
-        on_disk = json.loads((tmp_path / "manifest.json").read_text())
+        on_disk = ResultStore(tmp_path).keys()  # durable state, read fresh
         assert {entry_a.fingerprint, entry_b.fingerprint} <= set(on_disk)
         # Both instances see both records without re-instantiation.
         for store in (store_a, store_b):
@@ -371,7 +371,7 @@ class TestResultStoreMultiWriter:
             thread.start()
         for thread in threads:
             thread.join()
-        survivors = json.loads((tmp_path / "manifest.json").read_text())
+        survivors = ResultStore(tmp_path).keys()
         assert set(survivors) == {entry.fingerprint for entry, _ in entries}
 
     def test_reader_sees_other_writers_flush(self, tmp_path):

@@ -434,6 +434,8 @@ class TestStoreResume:
         np.testing.assert_array_equal(
             resumed.final_pressure, complete.final_pressure
         )
+        # The resume wrote the lost step again: the whole stack is back.
+        assert store.simulation_steps_completed(fp) == 4
 
     def test_racing_appends_of_one_step_both_land(
         self, problem, tmp_path, monkeypatch
